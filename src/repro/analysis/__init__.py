@@ -21,6 +21,7 @@ from repro.analysis.adaptiveness import (
     AdaptivenessPoint,
     adaptiveness,
     recovery_time,
+    response_recovery,
     response_time,
 )
 from repro.analysis.bitrate import BitrateBand, aggregate_bitrate_series
@@ -46,6 +47,7 @@ __all__ = [
     "loss_cell",
     "mean_std",
     "recovery_time",
+    "response_recovery",
     "response_time",
     "rtt_cell",
 ]

@@ -27,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["response_time", "recovery_time", "adaptiveness", "AdaptivenessPoint"]
+from repro.analysis.stats import mean_std
+
+__all__ = [
+    "response_time",
+    "recovery_time",
+    "response_recovery",
+    "adaptiveness",
+    "AdaptivenessPoint",
+]
 
 #: Consecutive bins that must sit inside the +/- one-std band.
 _SETTLE_BINS = 4
@@ -85,6 +93,31 @@ def recovery_time(
 ) -> float:
     """Seconds the game system takes to expand back to the original bitrate."""
     return _time_to_settle(times, rates, departure, end, original_mean, original_std)
+
+
+def response_recovery(
+    times: np.ndarray, rates: np.ndarray, timeline
+) -> tuple[float, float]:
+    """One run's response and recovery times on ``timeline``'s windows.
+
+    The adjusted and original bitrates (mean and std) are taken from the
+    run's own series over the timeline's adjusted and baseline windows.
+    """
+    adj_lo, adj_hi = timeline.adjusted_window
+    mask = (times >= adj_lo) & (times < adj_hi)
+    adjusted_mean, adjusted_std = mean_std(rates[mask])
+    base_lo, base_hi = timeline.baseline_window
+    base_mask = (times >= base_lo) & (times < base_hi)
+    original_mean, original_std = mean_std(rates[base_mask])
+    response = response_time(
+        times, rates, timeline.iperf_start, timeline.iperf_stop,
+        adjusted_mean, adjusted_std,
+    )
+    recovery = recovery_time(
+        times, rates, timeline.iperf_stop, timeline.end,
+        original_mean, original_std,
+    )
+    return response, recovery
 
 
 def adaptiveness(

@@ -56,11 +56,6 @@ Examples::
         --trace out.jsonl --metrics metrics.json --profile-sim
     repro-gsnet inspect out.jsonl
 
-    # Benchmarks: refresh the perf trajectory, guard against regressions
-    repro-gsnet bench run --all
-    repro-gsnet bench compare --current /tmp/bench
-    repro-gsnet bench list
-
     # What can I ask for?
     repro-gsnet list systems
 
@@ -77,16 +72,6 @@ import sys
 
 import repro
 from repro.analysis.render import render_table
-from repro.bench import (
-    BenchFormatError,
-    compare_results,
-    load_results_dir,
-    run_scenario,
-    scenario_names,
-    write_result,
-)
-from repro.bench.compare import DEFAULT_TOLERANCE
-from repro.bench.scenarios import SCENARIOS
 from repro.experiments import Campaign, PAPER, QUICK, RunConfig, SMOKE, run_single
 from repro.experiments.conditions import SYSTEM_NAMES
 from repro.obs import (
@@ -485,58 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the summary as JSON"
     )
 
-    bench_parser = sub.add_parser(
-        "bench", help="run benchmarks / compare against a baseline"
-    )
-    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser("run", help="execute scenarios, write BENCH_*.json")
-    bench_run.add_argument(
-        "scenarios", nargs="*", metavar="SCENARIO",
-        help="scenario names (see 'bench list'); default: all with --all",
-    )
-    bench_run.add_argument(
-        "--all", action="store_true", help="run every registered scenario"
-    )
-    bench_run.add_argument(
-        "--repeats", type=int, default=3,
-        help="repeats per scenario; best wall time is the headline",
-    )
-    bench_run.add_argument(
-        "--warmup", type=int, default=1, metavar="N",
-        help="discarded warm-up iterations per scenario before the "
-             "timed repeats (absorbs first-run import/allocator noise)",
-    )
-    bench_run.add_argument(
-        "--scale", type=float, default=1.0,
-        help="workload scale factor (1.0 = canonical workload)",
-    )
-    bench_run.add_argument(
-        "--out", metavar="DIR", default=".",
-        help="directory receiving BENCH_<scenario>.json files",
-    )
-    bench_run.add_argument("--json", action="store_true", help="emit JSON")
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="compare BENCH results against a baseline; exit 1 on regression"
-    )
-    bench_compare.add_argument(
-        "--baseline", metavar="DIR", default=".",
-        help="directory with baseline BENCH_*.json (default: repo root)",
-    )
-    bench_compare.add_argument(
-        "--current", metavar="DIR", required=True,
-        help="directory with freshly measured BENCH_*.json",
-    )
-    bench_compare.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="relative regression band (0.35 = fail when >35%% worse)",
-    )
-    bench_compare.add_argument("--json", action="store_true", help="emit JSON")
-
-    bench_list = bench_sub.add_parser("list", help="enumerate scenarios")
-    bench_list.add_argument("--json", action="store_true", help="emit JSON")
-
     list_parser = sub.add_parser("list", help="enumerate available options")
     list_parser.add_argument(
         "what", choices=("systems", "ccas", "profiles", "qdiscs"),
@@ -858,69 +791,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
           f"removed {stats['objects_removed']} orphan objects, "
           f"{stats['tmp_removed']} temp files")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_command == "list":
-        if args.json:
-            print(json.dumps(
-                {name: SCENARIOS[name].description for name in scenario_names()}
-            ))
-        else:
-            for name in scenario_names():
-                print(f"{name:<22} {SCENARIOS[name].description}")
-        return 0
-
-    if args.bench_command == "run":
-        if args.all:
-            names = scenario_names()
-        elif args.scenarios:
-            names = args.scenarios
-        else:
-            print("error: name scenarios or pass --all", file=sys.stderr)
-            return 2
-        unknown = [name for name in names if name not in SCENARIOS]
-        if unknown:
-            print(f"error: unknown scenario(s): {', '.join(unknown)}; "
-                  f"options: {', '.join(scenario_names())}", file=sys.stderr)
-            return 2
-        if args.repeats <= 0 or args.scale <= 0:
-            print("error: --repeats and --scale must be positive", file=sys.stderr)
-            return 2
-        if args.warmup < 0:
-            print("error: --warmup must be >= 0", file=sys.stderr)
-            return 2
-        results = []
-        for name in names:
-            result = run_scenario(
-                name, repeats=args.repeats, scale=args.scale,
-                warmup=args.warmup,
-            )
-            path = write_result(result, args.out)
-            results.append(result)
-            if not args.json:
-                print(f"{result.render()}  -> {path}")
-        if args.json:
-            print(json.dumps([result.to_dict() for result in results]))
-        return 0
-
-    # compare
-    try:
-        baseline = load_results_dir(args.baseline)
-        current = load_results_dir(args.current)
-        report = compare_results(baseline, current, tolerance=args.tolerance)
-    except (BenchFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not baseline:
-        print(f"error: no BENCH_*.json baseline in {args.baseline}",
-              file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1259,7 +1129,6 @@ def main(argv: list[str] | None = None) -> int:
         "condition": _cmd_condition,
         "campaign": _cmd_campaign,
         "table1": _cmd_table1,
-        "bench": _cmd_bench,
         "store": _cmd_store,
         "dist": _cmd_dist,
         "report": _cmd_report,

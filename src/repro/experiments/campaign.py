@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.adaptiveness import recovery_time, response_time
+from repro.analysis.adaptiveness import response_recovery
 from repro.analysis.bitrate import BitrateBand, aggregate_bitrate_series
 from repro.analysis.stats import mean_std
 from repro.experiments.config import RunConfig
@@ -106,34 +106,9 @@ class ConditionResult:
     def response_recovery(self, timeline: Timeline) -> tuple[float, float]:
         """Mean per-run response and recovery times (Section 4.2)."""
         self._require_runs("response_recovery")
-        adj_lo, adj_hi = timeline.adjusted_window
-        responses, recoveries = [], []
-        for r in self.runs:
-            mask = (r.times >= adj_lo) & (r.times < adj_hi)
-            adjusted_mean, adjusted_std = mean_std(r.game_bps[mask])
-            base_lo, base_hi = timeline.baseline_window
-            base_mask = (r.times >= base_lo) & (r.times < base_hi)
-            original_mean, original_std = mean_std(r.game_bps[base_mask])
-            responses.append(
-                response_time(
-                    r.times,
-                    r.game_bps,
-                    timeline.iperf_start,
-                    timeline.iperf_stop,
-                    adjusted_mean,
-                    adjusted_std,
-                )
-            )
-            recoveries.append(
-                recovery_time(
-                    r.times,
-                    r.game_bps,
-                    timeline.iperf_stop,
-                    timeline.end,
-                    original_mean,
-                    original_std,
-                )
-            )
+        responses, recoveries = zip(
+            *(response_recovery(r.times, r.game_bps, timeline) for r in self.runs)
+        )
         return float(np.mean(responses)), float(np.mean(recoveries))
 
 

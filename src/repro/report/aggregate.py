@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.adaptiveness import adaptiveness, recovery_time, response_time
+from repro.analysis.adaptiveness import adaptiveness, response_recovery
 from repro.analysis.reducers import BandAccumulator, Moments, QuantileReservoir
-from repro.analysis.stats import mean_std
 from repro.experiments.profiles import Timeline
 from repro.experiments.results import RunResult
 from repro.store.index import StoreIndex
@@ -97,36 +96,11 @@ class ConditionAggregate:
 
         if self.contended:
             self.fairness.add(result.fairness_ratio)
-            response, recovery = self._response_recovery(result, timeline)
+            response, recovery = response_recovery(
+                result.times, result.game_bps, timeline
+            )
             self.response_s.add(response)
             self.recovery_s.add(recovery)
-
-    @staticmethod
-    def _response_recovery(result: RunResult, timeline: Timeline) -> tuple[float, float]:
-        """Section 4.2 per-run response/recovery (the campaign's recipe)."""
-        adj_lo, adj_hi = timeline.adjusted_window
-        mask = (result.times >= adj_lo) & (result.times < adj_hi)
-        adjusted_mean, adjusted_std = mean_std(result.game_bps[mask])
-        base_lo, base_hi = timeline.baseline_window
-        base_mask = (result.times >= base_lo) & (result.times < base_hi)
-        original_mean, original_std = mean_std(result.game_bps[base_mask])
-        response = response_time(
-            result.times,
-            result.game_bps,
-            timeline.iperf_start,
-            timeline.iperf_stop,
-            adjusted_mean,
-            adjusted_std,
-        )
-        recovery = recovery_time(
-            result.times,
-            result.game_bps,
-            timeline.iperf_stop,
-            timeline.end,
-            original_mean,
-            original_std,
-        )
-        return response, recovery
 
     def to_dict(self) -> dict:
         summary = {

@@ -331,17 +331,18 @@ class RunStore:
     # Campaign checkpoints
     #
     # One JSON document per campaign id, written atomically by the
-    # scheduler after every state change:
+    # scheduler when a campaign starts and whenever a field changes:
     #
     #   {"id": ..., "total": N,
-    #    "completed": [fp, ...],          # served or executed runs
     #    "failed": {fp: {"error": ..., "attempts": ...}, ...},
     #    "abandoned": [fp, ...],          # in flight at the last interrupt
     #    "interrupted": bool}             # last invocation was cut short
     #
-    # `abandoned`/`interrupted` are bookkeeping for operators inspecting
-    # a cut-short campaign; resume correctness needs only `completed`
-    # and `failed` (abandoned runs are simply still incomplete).
+    # Finished runs are not listed: the store itself is the record of
+    # completion, and resume serves them from it.  Resume correctness
+    # needs only `failed`; `abandoned`/`interrupted` are bookkeeping for
+    # operators inspecting a cut-short campaign (abandoned runs are
+    # simply still incomplete).
     # ------------------------------------------------------------------
     def checkpoint_path(self, campaign_id: str) -> Path:
         return self.campaigns / f"{campaign_id}.json"

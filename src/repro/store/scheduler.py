@@ -33,10 +33,10 @@
   abandoned fingerprints recorded) so a re-run resumes exactly where
   the campaign stopped.
 - **crash-safe checkpointing** -- completed results are persisted to
-  the store as they arrive and a per-campaign checkpoint (keyed by the
-  hash of the sorted run fingerprints) records completions and
-  failures atomically, so an interrupted campaign resumes with only
-  its incomplete runs re-executed.
+  the store as they arrive, so an interrupted campaign resumes with
+  only its incomplete runs re-executed; a per-campaign checkpoint
+  (keyed by the hash of the sorted run fingerprints) atomically
+  records permanent failures and interrupt marks for ``resume``.
 - **partial-results mode** -- ``partial=True`` records persistently
   failing configs in the report instead of aborting the campaign.
   Without it a persistent failure raises :class:`CampaignError`; the
@@ -367,7 +367,7 @@ class CampaignScheduler:
                 report.cache_hits += 1
                 self.counters.inc("store.hits")
                 self._emit("store.hit", fp=fp, label=config.label)
-                self._checkpoint_mark(state, report.campaign_id, fp, "completed")
+                self._checkpoint_clear_failure(state, report.campaign_id, fp)
                 if self.on_result is not None:
                     self.on_result(cached, done, total, True)
                 report.results.append(cached)
@@ -422,8 +422,8 @@ class CampaignScheduler:
                             if self.store is not None:
                                 self.store.put(config, result)
                                 self._emit("store.put", fp=fp)
-                            self._checkpoint_mark(
-                                state, report.campaign_id, fp, "completed",
+                            self._checkpoint_clear_failure(
+                                state, report.campaign_id, fp,
                             )
                             if self.on_result is not None:
                                 self.on_result(result, done, total, False)
@@ -443,9 +443,9 @@ class CampaignScheduler:
                                 "sched.fail", fp=fp,
                                 attempts=item.attempts, error=error,
                             )
-                            self._checkpoint_mark(
+                            self._checkpoint_fail(
                                 state, report.campaign_id, fp,
-                                "failed", error=error, attempts=item.attempts,
+                                error=error, attempts=item.attempts,
                             )
                     if heartbeat is not None:
                         heartbeat.beat(done, self.counters)
@@ -880,28 +880,39 @@ class CampaignScheduler:
         return self.store.get_fp(fp)
 
     def _load_checkpoint(self, cid: str, total: int) -> dict | None:
+        """The campaign's failure/interrupt record, written once up front.
+
+        Finished runs are not listed: resume serves them from the store.
+        The initial write makes the store list the campaign from its
+        first run on and resets a record whose ``total`` no longer
+        matches; afterwards the file is rewritten only when ``failed``,
+        ``interrupted`` or ``abandoned`` change.
+        """
         if not self.checkpoint:
             return None
-        state = self.store.load_checkpoint(cid)
-        if state is None or state.get("total") != total:
-            state = {"id": cid, "total": total, "completed": [], "failed": {}}
-        state["completed"] = list(state.get("completed", []))
-        state["failed"] = dict(state.get("failed", {}))
-        state["abandoned"] = list(state.get("abandoned", []))
-        state["interrupted"] = bool(state.get("interrupted", False))
+        saved = self.store.load_checkpoint(cid)
+        if saved is None or saved.get("total") != total:
+            saved = {}
+        state = {
+            "id": cid,
+            "total": total,
+            "failed": dict(saved.get("failed", {})),
+            "abandoned": list(saved.get("abandoned", [])),
+            "interrupted": bool(saved.get("interrupted", False)),
+        }
+        self.store.save_checkpoint(cid, state)
         return state
 
-    def _checkpoint_mark(
-        self, state, cid: str, fp: str, status: str, **info
-    ) -> None:
+    def _checkpoint_fail(self, state, cid: str, fp: str, **info) -> None:
         if state is None:
             return
-        if status == "completed":
-            state["failed"].pop(fp, None)
-            if fp not in state["completed"]:
-                state["completed"].append(fp)
-        else:
-            state["failed"][fp] = info
+        state["failed"][fp] = info
+        self.store.save_checkpoint(cid, state)
+
+    def _checkpoint_clear_failure(self, state, cid: str, fp: str) -> None:
+        """A run that finished no longer counts as a recorded failure."""
+        if state is None or state["failed"].pop(fp, None) is None:
+            return
         self.store.save_checkpoint(cid, state)
 
     def _checkpoint_flush(

@@ -1,10 +1,13 @@
 """Integration tests: single runs, result persistence, campaigns."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.experiments import Campaign, RunConfig, SMOKE, run_single
 from repro.experiments.results import RunResult
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,25 @@ class TestRunSingle:
             broken.save(path)
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+    def test_finished_run_leaves_no_testbed_behind(self):
+        # The testbed's simulator, events and bound methods form one
+        # cycle; with the collector off (as it is for the whole of the
+        # next run) only an explicit free reclaims them.
+        cfg = RunConfig("luna", 25e6, 2.0, cca="cubic", seed=3, timeline=SMOKE)
+        gc.collect()  # earlier tests' garbage is not this run's
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_single(cfg)
+            live = [
+                obj for obj in gc.get_objects() if isinstance(obj, Simulator)
+            ]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert live == []
 
 
 class TestCampaign:

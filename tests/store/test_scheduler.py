@@ -36,6 +36,17 @@ def _boom(config):
     raise RuntimeError(f"transient fault for seed {config.seed}")
 
 
+def _record_checkpoint_saves(store, monkeypatch) -> list:
+    """Route ``store.save_checkpoint`` through a list of campaign ids."""
+    saves = []
+    save = store.save_checkpoint
+    monkeypatch.setattr(
+        store, "save_checkpoint",
+        lambda cid, state: (saves.append(cid), save(cid, state)),
+    )
+    return saves
+
+
 class TestCacheFirst:
     def test_populated_store_executes_nothing(self, tmp_path):
         store = RunStore(tmp_path)
@@ -177,13 +188,26 @@ class TestCheckpointResume:
             store=store, partial=True, run_fn=sometimes
         ).run(configs)
         state = store.load_checkpoint(report.campaign_id)
-        assert len(state["completed"]) == 1
+        assert "completed" not in state  # the store is that record
+        assert configs[0] in store and configs[1] not in store
         assert len(state["failed"]) == 1
         (info,) = state["failed"].values()
         assert "permanent" in info["error"]
 
-    def test_resume_skips_recorded_failures(self, tmp_path):
+    def test_clean_campaign_writes_checkpoint_once(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
+        saves = _record_checkpoint_saves(store, monkeypatch)
+        report = CampaignScheduler(store=store, run_fn=_run_ok).run(_configs(20))
+        assert report.executed == 20
+        assert saves == [report.campaign_id]  # not one per run
+        assert store.campaign_ids() == [report.campaign_id]
+        # A fully cached re-run is one write as well.
+        CampaignScheduler(store=store, run_fn=_run_ok).run(_configs(20))
+        assert len(saves) == 2
+
+    def test_resume_skips_recorded_failures(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path)
+        saves = _record_checkpoint_saves(store, monkeypatch)
         configs = _configs(2)
 
         def sometimes(config):
@@ -192,6 +216,7 @@ class TestCheckpointResume:
             return make_result(config)
 
         CampaignScheduler(store=store, partial=True, run_fn=sometimes).run(configs)
+        assert len(saves) == 2  # campaign start + the one failure
 
         executed = []
 

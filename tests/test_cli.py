@@ -92,6 +92,14 @@ def test_list_rejects_unknown_category():
         main(["list", "quantum"])
 
 
+def test_bench_subcommand_is_gone(capsys):
+    # The benchmark is benchmarks/perf/run.py; the CLI has no bench verb.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "list"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 def test_campaign_rerun_served_from_cache(tmp_path, capsys):
     store = str(tmp_path / "store")
     argv = ["campaign", "--systems", "luna", "--ccas", "cubic",
