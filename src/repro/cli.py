@@ -201,9 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--seeds", type=int, nargs="+", metavar="SEED", default=None,
-        help="run this condition once per seed, in one process with "
-             "shared topology objects (overrides --seed; incompatible "
-             "with --trace/--metrics/--profile-sim)",
+        help="run this condition once per seed, in one process "
+             "(overrides --seed; incompatible with "
+             "--trace/--metrics/--profile-sim)",
     )
 
     cond_parser = sub.add_parser("condition", help="run several iterations")
@@ -612,7 +612,11 @@ def _cmd_condition(args: argparse.Namespace) -> int:
         response, recovery = condition.response_recovery(timeline)
         print(f"  response time    : {response:.1f} s")
         print(f"  recovery time    : {recovery:.1f} s")
-    mean, std = condition.rtt_cell(timeline)
+    # A solo run has no contention phase: like Table 3, report the RTT
+    # of the window where only the game streams.
+    mean, std = condition.rtt_cell(
+        timeline, window="contention" if args.cca else "solo"
+    )
     print(f"  RTT              : {mean * 1e3:.1f} ({std * 1e3:.1f}) ms")
     mean, std = condition.loss_cell()
     print(f"  loss rate        : {mean:.4f} ({std:.4f})")

@@ -109,6 +109,25 @@ class Shard:
     def runs(self) -> int:
         return len(self.fingerprints)
 
+    def to_doc(self) -> dict:
+        """The shard's JSON form: a queue shard file, a claim reply."""
+        return {
+            "shard": self.id,
+            "campaign_id": self.campaign_id,
+            "configs": list(self.configs),
+            "fingerprints": list(self.fingerprints),
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict, campaign_id: str) -> "Shard":
+        """Inverse of :meth:`to_doc` (``campaign_id`` is the default)."""
+        return cls(
+            id=doc["shard"],
+            campaign_id=doc.get("campaign_id", campaign_id),
+            configs=tuple(doc.get("configs", ())),
+            fingerprints=tuple(doc.get("fingerprints", ())),
+        )
+
 
 class ShardQueue:
     """One campaign's work queue (see the module docstring for layout).
@@ -259,11 +278,9 @@ class ShardQueue:
                                 "damaged": True, "ts": self._clock()}),
                 )
                 continue
-            return Shard(
-                id=path.stem,
-                campaign_id=data.get("campaign_id", self.campaign_id),
-                configs=tuple(data.get("configs", ())),
-                fingerprints=tuple(data.get("fingerprints", ())),
+            # The file name is the id every later verb is keyed on.
+            return Shard.from_doc(
+                {**data, "shard": path.stem}, self.campaign_id
             )
         return None
 

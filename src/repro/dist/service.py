@@ -14,12 +14,12 @@ filesystem at all:
   immutable queue spec and a live queue status snapshot;
 - ``GET /workers`` -- the worker fleet across every queue;
 - ``POST /campaigns/<id>/claim|renew|complete|fail|beat`` -- the lease
-  protocol.  Every mutation is applied through the same atomic-rename
-  :class:`~repro.dist.queue.ShardQueue` a file-mode worker uses (under
-  one server-side lock), so HTTP and shared-directory workers coexist
-  on one campaign; lease deadlines are stamped with the **server's**
-  clock only, which is what makes TTL expiry immune to worker clock
-  skew;
+  protocol.  Every verb is the
+  :class:`~repro.dist.transport.FileTransport` method a file-mode
+  worker calls, run on the served store (under one server-side lock),
+  so HTTP and shared-directory workers coexist on one campaign; lease
+  deadlines are stamped with the **server's** clock only, which is
+  what makes TTL expiry immune to worker clock skew;
 - ``PUT /objects/<fp>`` / ``GET /objects/<fp>`` -- single-object
   push/pull with :mod:`repro.store.sync` merge semantics (duplicate
   detection, conflict refusal with 409).
@@ -55,7 +55,11 @@ from repro.store.sync import (
 
 from repro.dist.coordinator import queue_root
 from repro.dist.queue import QueueError, ShardQueue
-from repro.dist.transport import normalize_service_url
+from repro.dist.transport import (
+    FileTransport,
+    TransportError,
+    normalize_service_url,
+)
 
 __all__ = [
     "CampaignService",
@@ -68,6 +72,10 @@ __all__ = [
 
 #: Heartbeat records included in a ``/campaigns/<id>`` trail.
 _TRAIL_LIMIT = 50
+
+#: Largest JSON control body (claim/renew/complete/fail/beat) a handler
+#: thread will buffer; object bundles have their own, larger cap.
+_MAX_JSON_BYTES = 1 << 20
 
 #: Per-connection socket timeout: the longest a stalled or vanished
 #: client can hold a handler thread mid-read or mid-write.
@@ -181,19 +189,20 @@ class _Handler(BaseHTTPRequestHandler):
             raise QueueError(f"campaign {cid!r} has no queue")
         return ShardQueue.open(root, clock=self.server.clock)  # type: ignore[attr-defined]
 
-    def _body(self) -> bytes:
+    def _body(self, limit: int = MAX_BUNDLE_BYTES) -> bytes:
         length = self.headers.get("Content-Length")
         try:
             length = int(length)
         except (TypeError, ValueError):
             raise _BadRequest("missing or invalid Content-Length")
-        if length < 0 or length > MAX_BUNDLE_BYTES:
-            raise _BadRequest(f"body exceeds {MAX_BUNDLE_BYTES} bytes")
+        if length < 0 or length > limit:
+            raise _BadRequest(f"body exceeds {limit} bytes")
         return self.rfile.read(length)
 
     def _json_body(self) -> dict:
+        body = self._body(_MAX_JSON_BYTES)
         try:
-            payload = json.loads(self._body().decode())
+            payload = json.loads(body.decode())
         except (ValueError, UnicodeDecodeError):
             raise _BadRequest("body is not valid JSON")
         if not isinstance(payload, dict):
@@ -206,7 +215,7 @@ class _Handler(BaseHTTPRequestHandler):
             handler()
         except _BadRequest as exc:
             self._reply(400, {"error": str(exc)})
-        except QueueError:
+        except (QueueError, TransportError):
             # Missing campaign/queue or a torn spec is the client's 404,
             # not a server fault -- and the raw message may carry paths.
             self._reply(404, {"error": "campaign has no queue"})
@@ -294,75 +303,54 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"no route {path!r}"})
             return
         cid, _, action = path[len("/campaigns/"):].partition("/")
-        handler = {
-            "claim": self._post_claim,
-            "renew": self._post_renew,
-            "complete": self._post_complete,
-            "fail": self._post_fail,
-            "beat": self._post_beat,
-        }.get(action)
-        if handler is None:
+        if action not in ("claim", "renew", "complete", "fail", "beat"):
             self._reply(404, {"error": f"no route {path!r}"})
             return
         payload = self._json_body()
-        worker = payload.get("worker")
+        worker = payload.pop("worker", None)
         if not isinstance(worker, str) or not worker:
             raise _BadRequest("body needs a 'worker' id")
+        if not _CID_RE.fullmatch(cid):
+            raise QueueError(f"campaign {cid!r} has no queue")
+        transport = FileTransport(self.store, clock=self.server.clock)  # type: ignore[attr-defined]
         # One writer at a time: renames are atomic on their own, but the
         # lock keeps compound mutations (steal+claim, complete+sidecar)
         # and manifest appends serial across handler threads.
         with self.server.mutate_lock:  # type: ignore[attr-defined]
-            handler(cid, worker, payload)
+            # Opens the queue, so an unknown campaign or a torn spec is
+            # a 404 before any verb runs (``beat`` would swallow it).
+            transport.ttl_s(cid)
+            self._reply(
+                200, self._lease_verb(transport, action, cid, worker, payload)
+            )
 
     @staticmethod
-    def _shard_id(payload: dict) -> str:
-        shard = payload.get("shard")
-        if not isinstance(shard, str) or not shard:
+    def _lease_verb(transport, action, cid, worker, payload) -> dict:
+        """Run one lease verb on the served store; returns the reply."""
+        if action == "claim":
+            shard, stolen = transport.claim(cid, worker)
+            return {
+                "shard": None if shard is None else shard.to_doc(),
+                "stolen": stolen,
+                "ttl_s": transport.ttl_s(cid),
+            }
+        if action == "beat":
+            transport.beat(cid, worker, **payload)
+            return {"ok": True}
+        shard_id = payload.get("shard")
+        if not isinstance(shard_id, str) or not shard_id:
             raise _BadRequest("body needs a 'shard' id")
-        return shard
-
-    def _post_claim(self, cid: str, worker: str, payload: dict) -> None:
-        queue = self._queue(cid)
-        stolen = queue.steal_expired()
-        queue.gc_leases()
-        shard = queue.claim(worker)
-        self._reply(200, {
-            "shard": None if shard is None else {
-                "shard": shard.id,
-                "campaign_id": shard.campaign_id,
-                "configs": list(shard.configs),
-                "fingerprints": list(shard.fingerprints),
-            },
-            "stolen": stolen,
-            "ttl_s": queue.ttl_s,
-        })
-
-    def _post_renew(self, cid: str, worker: str, payload: dict) -> None:
-        queue = self._queue(cid)
-        ok = queue.renew(self._shard_id(payload), worker)
-        self._reply(200, {"ok": ok})
-
-    def _post_complete(self, cid: str, worker: str, payload: dict) -> None:
-        info = payload.get("info")
-        if info is not None and not isinstance(info, dict):
-            raise _BadRequest("'info' must be an object")
-        queue = self._queue(cid)
-        completed = queue.complete(self._shard_id(payload), worker, info)
-        self._reply(200, {"completed": completed})
-
-    def _post_fail(self, cid: str, worker: str, payload: dict) -> None:
+        if action == "renew":
+            return {"ok": transport.renew(cid, shard_id, worker)}
+        if action == "complete":
+            info = payload.get("info")
+            if info is not None and not isinstance(info, dict):
+                raise _BadRequest("'info' must be an object")
+            return {"completed": transport.complete(cid, shard_id, worker, info)}
         error = payload.get("error")
-        queue = self._queue(cid)
-        released = queue.release(
-            self._shard_id(payload), worker,
-            error=None if error is None else str(error),
-        )
-        self._reply(200, {"released": released})
-
-    def _post_beat(self, cid: str, worker: str, payload: dict) -> None:
-        info = {k: v for k, v in payload.items() if k != "worker"}
-        self._queue(cid).worker_beat(worker, **info)
-        self._reply(200, {"ok": True})
+        return {"released": transport.release(
+            cid, shard_id, worker, None if error is None else str(error)
+        )}
 
     # -- PUT routes (object push) --------------------------------------
     def do_PUT(self) -> None:  # noqa: N802 - http.server API

@@ -66,15 +66,6 @@ def normalize_service_url(url: str) -> str:
     return url
 
 
-def _shard_from_doc(doc: dict, cid: str) -> Shard:
-    return Shard(
-        id=doc.get("shard") or doc["id"],
-        campaign_id=doc.get("campaign_id", cid),
-        configs=tuple(doc.get("configs", ())),
-        fingerprints=tuple(doc.get("fingerprints", ())),
-    )
-
-
 class FileTransport:
     """Queue access through a mounted coordinator store (PR 7 semantics).
 
@@ -245,7 +236,7 @@ class HttpTransport:
             self._ttl[cid] = float(doc["ttl_s"])
         shard = doc.get("shard")
         if shard is not None:
-            shard = _shard_from_doc(shard, cid)
+            shard = Shard.from_doc(shard, cid)
         return shard, list(doc.get("stolen", ()))
 
     def renew(self, cid: str, shard_id: str, worker_id: str) -> bool:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis import framerate, loss, rtt
 from repro.analysis.adaptiveness import response_recovery
 from repro.analysis.bitrate import BitrateBand, aggregate_bitrate_series
 from repro.analysis.stats import mean_std
@@ -72,11 +73,7 @@ class ConditionResult:
     def fairness(self) -> float:
         """Mean (game - iperf) / capacity over the fairness window."""
         self._require_runs("fairness")
-        ratios = [
-            (r.fairness_game_bps - r.fairness_iperf_bps) / r.capacity_bps
-            for r in self.runs
-        ]
-        return float(np.mean(ratios))
+        return float(np.mean([r.fairness_ratio for r in self.runs]))
 
     def baseline_bitrate(self) -> tuple[float, float]:
         """Mean/std of the per-run baseline (Table 1 uses solo runs)."""
@@ -89,19 +86,17 @@ class ConditionResult:
         lo, hi = (
             timeline.contention_window if window == "contention" else timeline.solo_window
         )
-        pools = [r.rtts_in(lo, hi) for r in self.runs]
-        pools = [p for p in pools if len(p)]
-        if not pools:
-            return float("nan"), float("nan")
-        return mean_std(np.concatenate(pools))
+        return rtt.rtt_cell([r.rtts_in(lo, hi) for r in self.runs])
 
     def loss_cell(self) -> tuple[float, float]:
         self._require_runs("loss_cell")
-        return mean_std([r.game_loss_rate for r in self.runs])
+        return loss.loss_cell([r.game_loss_rate for r in self.runs])
 
     def framerate_cell(self) -> tuple[float, float]:
         self._require_runs("framerate_cell")
-        return mean_std([r.displayed_fps_contention for r in self.runs])
+        return framerate.framerate_cell(
+            [r.displayed_fps_contention for r in self.runs]
+        )
 
     def response_recovery(self, timeline: Timeline) -> tuple[float, float]:
         """Mean per-run response and recovery times (Section 4.2)."""
@@ -116,7 +111,8 @@ class Campaign:
     """Execute a set of runs and aggregate them per condition.
 
     Args:
-        workers: process-pool width (1 = run inline).
+        workers: how many runs may be outstanding at once: the
+            process-pool width, or 1 to run in this process.
         progress: optional callback ``(done, total, label, wall_s)``
             invoked after each run completes (completion order).
         store: optional :class:`~repro.store.runstore.RunStore`; runs
@@ -126,8 +122,9 @@ class Campaign:
         retries: extra attempts per failing run (capped exponential
             backoff between attempts).
         timeout: per-run wall-clock budget in seconds; a run exceeding
-            it is killed (pool mode) or cooperatively aborted (serial
-            mode) and retried like any other failure.
+            it aborts cooperatively (or, still running in a pool worker
+            at the deadline, is killed) and is retried like any other
+            failure.
         partial: record persistently failing configs in
             :attr:`failures` instead of aborting the campaign.
         use_cache: set False to force re-simulation even with a store
@@ -145,8 +142,8 @@ class Campaign:
             records appended to the store's campaign heartbeat (see
             :mod:`repro.store.heartbeat`); ``None`` disables it.
         seed_batch: group up to this many same-condition seeds into one
-            dispatch unit executed in-process with shared topology
-            inputs (see :mod:`repro.experiments.multirun`).  Store
+            dispatch unit executed in one process (see
+            :mod:`repro.experiments.multirun`).  Store
             writes and fingerprints stay per run; results and
             aggregates are byte-identical to per-run dispatch.
 

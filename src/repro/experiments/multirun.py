@@ -1,16 +1,12 @@
-"""In-process vectorised multi-seed execution.
+"""In-process multi-seed execution.
 
 The campaign grid runs K seeds of every condition, and each of those
 runs is an independent simulation of the *same* topology -- only the
 RNG seed differs.  Dispatching them as separate pool tasks pays per-run
-overhead K times: task pickling, store round-trips, topology input
-construction, and allocator warm-up.  This module executes a whole
-seed batch inside one interpreter:
+overhead K times: task pickling, a future per run, and allocator
+warm-up.  This module executes a whole seed batch inside one
+interpreter, one run after the other:
 
-- the immutable topology inputs (:class:`~repro.testbed.tc.RouterConfig`
-  and the :class:`~repro.testbed.systems.SystemProfile`) are constructed
-  once and shared across seeds (they are pure functions of the
-  condition, so sharing cannot change any measurement);
 - the store is consulted per seed (cache-first) and written per result
   -- **one stored object per run**, byte-identical fingerprints and
   payloads to per-run dispatch, so batched and unbatched campaigns are
@@ -18,6 +14,10 @@ seed batch inside one interpreter:
 - a ``timeout_s`` budget covers the whole batch, with the remaining
   budget re-measured before each seed so an early seed overrunning
   still aborts the batch cooperatively.
+
+Nothing is shared between the seeds: building a run's
+:class:`~repro.testbed.tc.RouterConfig` and looking up its system
+profile costs about a microsecond against seconds of simulation.
 
 The entry points are :func:`run_seeds` (one config, many seeds -- the
 engine behind ``run_single(seeds=[...])`` and ``repro-gsnet run
@@ -33,8 +33,6 @@ from time import perf_counter
 from repro.experiments.config import RunConfig
 from repro.experiments.results import RunResult
 from repro.experiments.runner import _execute
-from repro.streaming.systems import get_system
-from repro.testbed.tc import RouterConfig
 
 __all__ = ["run_seeds", "run_condition_batch", "seed_variants"]
 
@@ -67,19 +65,8 @@ def run_condition_batch(
     timeout_s: float | None = None,
     max_events: int | None = None,
 ) -> list[RunResult]:
-    """Execute ``configs`` sequentially with shared topology inputs.
-
-    Results come back in config order.  The topology inputs are shared
-    only while consecutive configs agree on the condition fields; a
-    mixed batch silently falls back to per-config construction, so the
-    function is safe for any config list.
-    """
-    if not configs:
-        return []
+    """Execute ``configs`` one after the other; results in config order."""
     deadline = None if timeout_s is None else perf_counter() + timeout_s
-    shared_router: RouterConfig | None = None
-    shared_profile = None
-    shared_key: tuple | None = None
     results: list[RunResult] = []
     for config in configs:
         if store is not None:
@@ -87,19 +74,10 @@ def run_condition_batch(
             if cached is not None:
                 results.append(cached)
                 continue
-        key = (config.system, config.capacity_bps, config.queue_mult)
-        if key != shared_key:
-            shared_key = key
-            shared_router = RouterConfig(
-                rate_bps=config.capacity_bps, queue_mult=config.queue_mult
-            )
-            shared_profile = get_system(config.system)
         wall_start = perf_counter()
         remaining = None if deadline is None else deadline - wall_start
-        result = _execute(
+        results.append(_execute(
             config, None, None, None, store,
             remaining, max_events, wall_start,
-            router=shared_router, profile=shared_profile,
-        )
-        results.append(result)
+        ))
     return results

@@ -68,8 +68,8 @@ def run_single(
             dispatched simulation events (a runaway-run backstop that
             is deterministic across hosts).
         seeds: optional list of seeds; runs every seed of this
-            condition in-process with shared topology objects (see
-            :mod:`repro.experiments.multirun`) and returns a **list**
+            condition in-process, one after the other (see
+            :mod:`repro.experiments.multirun`), and returns a **list**
             of results instead of one.  Incompatible with the per-run
             observers (tracer/metrics/profiler), which bind to a single
             testbed.
@@ -107,25 +107,16 @@ def _execute(
     timeout_s: float | None,
     max_events: int | None,
     wall_start: float,
-    router: RouterConfig | None = None,
-    profile=None,
 ) -> RunResult:
     """Build the testbed, run the timeline, collect the result.
 
-    The cache-bypass core of :func:`run_single`.  ``router`` and
-    ``profile`` allow a multi-seed batch to construct the immutable
-    topology inputs once and share them across seeds -- they are pure
-    functions of the config's condition fields, so sharing cannot
-    change any measurement.
+    The cache-bypass core of :func:`run_single` (and of each seed of a
+    :mod:`~repro.experiments.multirun` batch).
     """
     timeline = config.timeline
-    if router is None:
-        router = RouterConfig(
-            rate_bps=config.capacity_bps, queue_mult=config.queue_mult
-        )
     testbed = GameStreamingTestbed(
-        profile if profile is not None else config.system,
-        router,
+        config.system,
+        RouterConfig(rate_bps=config.capacity_bps, queue_mult=config.queue_mult),
         seed=config.seed,
         competing_cca=config.cca,
         qdisc=config.qdisc,

@@ -7,18 +7,19 @@ paths would otherwise only execute in production.  This module makes
 them reproducible: :class:`ChaosRunner` wraps the scheduler's
 ``run_fn`` and injects faults on a schedule derived *only* from
 ``(seed, fingerprint, attempt)``, so the same spec produces the same
-faults on every host, every time, serial or pooled.
+faults on every host, every time, at any ``workers``.
 
 Fault types (rates partition the unit interval, so they are mutually
 exclusive per attempt):
 
 - ``crash`` -- ``os._exit`` inside a pool worker, producing the
-  ``BrokenProcessPool`` the scheduler must recover from.  Inline
-  (serial) execution converts it to an exception so the injection
-  cannot kill the interpreter that is testing it.
-- ``hang`` -- sleeps ``hang_s`` seconds.  With a scheduler ``timeout``
-  shorter than ``hang_s`` this exercises the hard worker-kill path;
-  afterwards (or in serial mode) it raises
+  ``BrokenProcessPool`` the scheduler must recover from.  Executed in
+  the scheduler's own process (``workers=1``) it becomes an exception,
+  so the injection cannot kill the interpreter that is testing it.
+- ``hang`` -- sleeps ``hang_s`` seconds.  In a pool worker, with a
+  scheduler ``timeout`` shorter than ``hang_s``, this exercises the
+  hard worker-kill path; a hang that is allowed to finish (always the
+  case at ``workers=1``) raises
   :class:`~repro.experiments.runner.RunTimeout`, the cooperative
   timeout path.
 - ``exc`` -- raises :class:`ChaosFault`, a plain transient exception.
@@ -140,8 +141,8 @@ class ChaosSpec:
         """The fault for one attempt: "crash", "hang", "exc", or None.
 
         Pure function of ``(seed, fingerprint, attempt)`` -- no process
-        state, no RNG object -- so pool workers, serial runs, and test
-        assertions all see the same schedule.
+        state, no RNG object -- so pool workers, in-process runs, and
+        test assertions all see the same schedule.
         """
         if self.once and attempt > 1:
             return None

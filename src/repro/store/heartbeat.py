@@ -127,8 +127,10 @@ class CampaignHeartbeat:
 
     def finish(self, done: int, counters, phase: str = "done") -> None:
         """Write the terminal snapshot and close the stream."""
-        self.beat(done, counters, phase=phase, force=True)
-        self.close()
+        try:
+            self.beat(done, counters, phase=phase, force=True)
+        finally:
+            self.close()
 
     def close(self) -> None:
         if self._fh is not None:

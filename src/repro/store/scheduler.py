@@ -6,29 +6,33 @@
 - **cache first** -- every config is fingerprinted and looked up in the
   :class:`~repro.store.runstore.RunStore` before anything is submitted;
   only misses are simulated.
-- **completion-order dispatch** -- with ``workers > 1`` runs are
-  submitted to a process pool and collected as they finish
-  (no head-of-line blocking, unlike ``pool.map``).  At most ``workers``
-  runs are outstanding at a time, so every submitted future is actually
-  executing and per-run deadlines measure real run time.
+- **one completion loop** -- every campaign runs through the same
+  loop: up to ``workers`` dispatch units are outstanding, results are
+  collected as they finish (no head-of-line blocking, unlike
+  ``pool.map``), and every submitted future is actually executing, so
+  per-run deadlines measure real run time.  ``workers > 1`` submits to
+  a process pool; ``workers == 1`` submits to an in-process executor
+  that runs the task on the spot and hands back a finished future.
 - **retries with capped exponential backoff** -- a failing run is
   retried up to ``retries`` times after
-  ``min(backoff_cap, backoff_base * 2**(attempt-1))`` seconds.  In pool
-  mode the backoff is a per-item *deadline*, not a sleep: other runs
-  keep dispatching and completing while one run waits out its delay.
-- **per-run timeouts** -- with ``timeout`` set, a run that exceeds its
-  wall-clock budget is killed (pool mode: the worker processes are
-  terminated and the pool respawned; serial mode: the cooperative
-  deadline guard inside :func:`~repro.experiments.runner.run_single`
-  raises :class:`~repro.experiments.runner.RunTimeout`) and treated as
-  a retryable failure.  Innocent runs killed alongside a timed-out one
+  ``min(backoff_cap, backoff_base * 2**(attempt-1))`` seconds.  The
+  backoff is a per-item *deadline*, not a sleep: other runs keep
+  dispatching and completing while one run waits out its delay, and
+  the loop sleeps only when nothing is ready or in flight.
+- **per-run timeouts** -- with ``timeout`` set, ``run_fn`` is handed a
+  ``timeout_s`` budget (the cooperative deadline guard inside
+  :func:`~repro.experiments.runner.run_single` raises
+  :class:`~repro.experiments.runner.RunTimeout`), and a pool run still
+  unfinished at its deadline is killed: the worker processes are
+  terminated and the pool respawned.  Either way the run is a
+  retryable failure.  Innocent runs killed alongside a timed-out one
   are requeued without being charged an attempt.
 - **worker-crash recovery** -- a ``BrokenProcessPool`` (an OOM-killed
   or segfaulted worker) does not sink the campaign: the pool is
   rebuilt and everything that was in flight is requeued through the
   normal retry accounting as a :class:`WorkerCrash` failure.
 - **graceful interrupt** -- a ``KeyboardInterrupt`` during execution
-  flushes the checkpoint, shuts the pool down without waiting, and
+  flushes the checkpoint, shuts the executor down without waiting, and
   returns a partial :class:`CampaignReport` (``interrupted=True``,
   abandoned fingerprints recorded) so a re-run resumes exactly where
   the campaign stopped.
@@ -40,10 +44,10 @@
 - **partial-results mode** -- ``partial=True`` records persistently
   failing configs in the report instead of aborting the campaign.
   Without it a persistent failure raises :class:`CampaignError`; the
-  pool is shut down *without* waiting for in-flight runs
+  executor is shut down *without* waiting for in-flight runs
   (``shutdown(wait=False, cancel_futures=True)`` plus worker
-  termination) and their fingerprints are recorded on
-  ``CampaignError.abandoned``.
+  termination) and the fingerprints of everything still queued or in
+  flight are recorded on ``CampaignError.abandoned``.
 
 Scheduler tracepoints (``store.hit``, ``store.miss``, ``sched.dispatch``,
 ``sched.retry``, ``sched.done``, ``sched.fail``, ``sched.timeout``,
@@ -61,7 +65,7 @@ import inspect
 import itertools
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -174,13 +178,33 @@ def _supported_kwargs(fn) -> frozenset:
     return frozenset(name for name in _DISPATCH_KWARGS if name in params)
 
 
-def _kill_workers(pool: ProcessPoolExecutor) -> None:
-    """Forcibly terminate a pool's worker processes (best effort).
+class _InlineExecutor:
+    """Where ``ProcessPoolExecutor`` stands when ``workers == 1``.
+
+    ``submit`` runs the task in the calling process and returns an
+    already-finished future, so the completion loop has no serial
+    branch.  A ``KeyboardInterrupt`` leaves ``submit`` as itself.
+    """
+
+    def submit(self, fn, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+def _kill_workers(pool) -> None:
+    """Forcibly terminate an executor's worker processes (best effort).
 
     ``ProcessPoolExecutor`` has no public per-worker kill, and
     ``shutdown(cancel_futures=True)`` cannot stop a run that already
     started -- a hung simulation would otherwise block the campaign
-    until it finished on its own.
+    until it finished on its own.  (:class:`_InlineExecutor` has none.)
     """
     processes = getattr(pool, "_processes", None) or {}
     for proc in list(processes.values()):
@@ -209,11 +233,6 @@ class _Pending:
     free_pass: bool = False
 
     @property
-    def config(self):
-        """Representative config (labels, error messages)."""
-        return self.configs[0]
-
-    @property
     def fingerprint(self) -> str:
         return self.fingerprints[0]
 
@@ -229,8 +248,8 @@ def _run_batch(run_fn, configs: list, kwargs: dict) -> list:
 
     The stock :func:`~repro.experiments.runner.run_single` executor is
     routed through :func:`~repro.experiments.multirun.run_condition_batch`
-    so the batch shares topology inputs; any substitute ``run_fn`` (test
-    fakes, chaos wrappers) is simply invoked per config.
+    so ``timeout_s`` is one budget for the whole batch; any substitute
+    ``run_fn`` (test fakes, chaos wrappers) is simply invoked per config.
     """
     if run_fn is run_single:
         from repro.experiments.multirun import run_condition_batch
@@ -240,21 +259,22 @@ def _run_batch(run_fn, configs: list, kwargs: dict) -> list:
 
 
 class CampaignScheduler:
-    """Run configs through the cache, a worker pool, and retry logic.
+    """Run configs through the cache, an executor, and retry logic.
 
     Args:
-        workers: process-pool width (1 = run inline, in order).
+        workers: how many dispatch units may be outstanding: the
+            process-pool width, or 1 to run in this process.
         store: optional :class:`RunStore`; enables caching, result
             persistence, and checkpointing.
         retries: extra attempts per run after the first failure.
         backoff_base: first retry delay, seconds (doubles per attempt).
         backoff_cap: upper bound on any single retry delay.
-        timeout: per-run wall-clock budget, seconds.  Pool mode kills
-            hung workers outright; serial mode relies on ``run_fn``
-            honouring a ``timeout_s`` keyword (as
+        timeout: per-run wall-clock budget, seconds.  Handed to
+            ``run_fn`` as ``timeout_s`` when it accepts one (as
             :func:`~repro.experiments.runner.run_single` does with its
-            cooperative deadline guard).  Timed-out runs are retryable
-            failures.
+            cooperative deadline guard); pool workers still running at
+            the deadline are killed outright.  Timed-out runs are
+            retryable failures.
         partial: record persistent failures instead of raising.
         use_cache: look configs up in the store before executing
             (disable to force re-simulation; results are still stored).
@@ -270,7 +290,8 @@ class CampaignScheduler:
             picklable when ``workers > 1``).  If its signature accepts
             ``timeout_s`` and/or ``attempt`` keywords they are supplied
             per dispatch.
-        sleep: injection point for backoff delays.
+        sleep: injection point for the wait until the next retry is
+            due (taken only when nothing is ready or in flight).
         clock: injection point for the wall clock (monotonic seconds).
         heartbeat_interval: minimum seconds between live-progress
             records appended to the store's campaign heartbeat
@@ -357,71 +378,69 @@ class CampaignScheduler:
         done = 0
         state = self._load_checkpoint(report.campaign_id, total)
         heartbeat = self._open_heartbeat(report.campaign_id, total)
-
-        # Phase 1: serve whatever the store already has.
-        pending: list[_Pending] = []
-        for config, fp in zip(configs, fingerprints):
-            cached = self._lookup(config, fp)
-            if cached is not None:
-                done += 1
-                report.cache_hits += 1
-                self.counters.inc("store.hits")
-                self._emit("store.hit", fp=fp, label=config.label)
-                self._checkpoint_clear_failure(state, report.campaign_id, fp)
-                if self.on_result is not None:
-                    self.on_result(cached, done, total, True)
-                report.results.append(cached)
-                if heartbeat is not None:
-                    heartbeat.beat(done, self.counters)
-            elif (
-                self.resume
-                and state is not None
-                and fp in state["failed"]
-            ):
-                # A resumed campaign reports recorded permanent failures
-                # instead of burning time re-failing them.  They still
-                # count toward progress: without this, done could never
-                # reach total and the CLI progress line would stall.
-                done += 1
-                info = state["failed"][fp]
-                report.failures.append(
-                    RunFailure(
-                        config=config,
-                        fingerprint=fp,
-                        error=info.get("error", "recorded failure"),
-                        attempts=info.get("attempts", 0),
+        try:
+            # Phase 1: serve whatever the store already has.
+            pending: list[_Pending] = []
+            for config, fp in zip(configs, fingerprints):
+                cached = self._lookup(config, fp)
+                if cached is not None:
+                    done += 1
+                    report.cache_hits += 1
+                    self.counters.inc("store.hits")
+                    self._emit("store.hit", fp=fp, label=config.label)
+                    self._checkpoint_clear_failure(state, report.campaign_id, fp)
+                    if self.on_result is not None:
+                        self.on_result(cached, done, total, True)
+                    report.results.append(cached)
+                    if heartbeat is not None:
+                        heartbeat.beat(done, self.counters)
+                elif (
+                    self.resume
+                    and state is not None
+                    and fp in state["failed"]
+                ):
+                    # A resumed campaign reports recorded permanent
+                    # failures instead of burning time re-failing them.
+                    # They still count toward progress, or done could
+                    # never reach total (a stalled CLI progress line).
+                    done += 1
+                    info = state["failed"][fp]
+                    report.failures.append(
+                        RunFailure(
+                            config=config,
+                            fingerprint=fp,
+                            error=info.get("error", "recorded failure"),
+                            attempts=info.get("attempts", 0),
+                        )
                     )
-                )
-                self.counters.inc("sched.failures")
-                self._emit("sched.skip_failed", fp=fp, label=config.label)
-                if heartbeat is not None:
-                    heartbeat.beat(done, self.counters)
-            else:
-                self.counters.inc("store.misses")
-                self._emit("store.miss", fp=fp, label=config.label)
-                pending.append(_Pending([config], [fp]))
+                    self.counters.inc("sched.failures")
+                    self._emit("sched.skip_failed", fp=fp, label=config.label)
+                    if heartbeat is not None:
+                        heartbeat.beat(done, self.counters)
+                else:
+                    self.counters.inc("store.misses")
+                    self._emit("store.miss", fp=fp, label=config.label)
+                    pending.append(_Pending([config], [fp]))
 
-        if self.seed_batch > 1:
-            pending = self._group_batches(pending)
+            if self.seed_batch > 1:
+                pending = self._group_batches(pending)
 
-        # Phase 2: execute the misses, completion order, with retries.
-        # Backends yield one result list (or one error) per dispatch
-        # unit; accounting below stays per run.
-        if pending:
-            backend = self._run_serial if self.workers == 1 else self._run_pool
+            # Phase 2: execute the misses, completion order, with
+            # retries.  The loop yields one result list (or one error)
+            # per dispatch unit; accounting below stays per run.
             try:
-                for item, results, error in backend(pending):
+                for item, results, error in self._completion_loop(pending):
                     if results is not None:
                         for config, fp, result in zip(
                             item.configs, item.fingerprints, results,
                             strict=True,
                         ):
-                            done += 1
-                            report.executed += 1
-                            self.counters.inc("sched.executed")
                             if self.store is not None:
                                 self.store.put(config, result)
                                 self._emit("store.put", fp=fp)
+                            done += 1
+                            report.executed += 1
+                            self.counters.inc("sched.executed")
                             self._checkpoint_clear_failure(
                                 state, report.campaign_id, fp,
                             )
@@ -461,20 +480,23 @@ class CampaignScheduler:
                     state, report.campaign_id,
                     interrupted=True, abandoned=report.abandoned,
                 )
-            except CampaignError:
-                if heartbeat is not None:
-                    heartbeat.finish(done, self.counters, phase="failed")
-                raise
             else:
                 # A clean pass clears any stale interrupt marks left by
                 # an earlier aborted invocation of the same campaign.
-                if state is not None and (
+                if pending and state is not None and (
                     state.get("interrupted") or state.get("abandoned")
                 ):
                     self._checkpoint_flush(
                         state, report.campaign_id,
                         interrupted=False, abandoned=[],
                     )
+        except BaseException:
+            # Whatever ends the campaign early (CampaignError, a store
+            # that cannot write) ends the heartbeat too: a stream left
+            # at "running" reads as a live campaign with an ETA.
+            if heartbeat is not None:
+                heartbeat.finish(done, self.counters, phase="failed")
+            raise
         report.retries = self.counters.get("sched.retries")
         report.timeouts = self.counters.get("sched.timeouts")
         report.pool_breaks = self.counters.get("sched.pool_breaks")
@@ -486,12 +508,7 @@ class CampaignScheduler:
         return report
 
     # ------------------------------------------------------------------
-    # Execution backends.  Both yield (item, results | None, error |
-    # None) in completion order -- ``results`` is one result per config
-    # in the dispatch unit; None is a persistent failure (only possible
-    # in partial mode -- otherwise they raise CampaignError).
-    # A KeyboardInterrupt records what was abandoned and propagates to
-    # run(), which turns it into a partial report.
+    # Execution
     # ------------------------------------------------------------------
     def _group_batches(self, pending: list[_Pending]) -> list[_Pending]:
         """Merge single-run items that share a condition into batches.
@@ -526,52 +543,26 @@ class CampaignScheduler:
         """Normalise a dispatch return to one-result-per-config."""
         return raw if len(item.configs) > 1 else [raw]
 
-    def _run_serial(self, pending: list[_Pending]):
-        def live_tail(items: list[_Pending]) -> list[str]:
-            return [fp for p in items for fp in p.fingerprints]
+    def _new_executor(self):
+        if self.workers == 1:
+            return _InlineExecutor()
+        return ProcessPoolExecutor(max_workers=self.workers)
 
-        for index, item in enumerate(pending):
-            while True:
-                item.attempts += 1
-                self._emit(
-                    "sched.dispatch", fp=item.fingerprint,
-                    attempt=item.attempts, label=item.label,
-                )
-                try:
-                    kwargs = self._call_kwargs(item)
-                    if len(item.configs) == 1:
-                        results = [self.run_fn(item.configs[0], **kwargs)]
-                    else:
-                        results = _run_batch(self.run_fn, item.configs, kwargs)
-                except KeyboardInterrupt:
-                    self._abandon(live_tail(pending[index:]))
-                    raise
-                except Exception as exc:
-                    if isinstance(exc, RunTimeout):
-                        self._note_timeout(item, exc)
-                    try:
-                        action, delay = self._failure_action(item, exc)
-                    except CampaignError as fail:
-                        fail.abandoned = self._abandon(
-                            live_tail(pending[index + 1:])
-                        )
-                        raise
-                    if action == "retry":
-                        self._sleep(delay)
-                        continue
-                    yield item, None, _describe(exc)
-                    break
-                else:
-                    self._emit("sched.done", fp=item.fingerprint)
-                    yield item, results, None
-                    break
+    def _completion_loop(self, pending: list[_Pending]):
+        """Dispatch ``pending`` and yield ``(item, results | None, error |
+        None)`` in completion order.
 
-    def _run_pool(self, pending: list[_Pending]):
+        ``results`` is one result per config in the dispatch unit; None
+        is a persistent failure (only possible in partial mode --
+        otherwise :class:`CampaignError` is raised).  A
+        ``KeyboardInterrupt`` records what was abandoned and propagates
+        to :meth:`run`, which turns it into a partial report.
+        """
         ready: deque[_Pending] = deque(pending)
         retry_heap: list = []  # (due, tiebreak, item)
         retry_seq = itertools.count()
         inflight: dict = {}  # Future -> _Pending
-        pool = ProcessPoolExecutor(max_workers=self.workers)
+        pool = self._new_executor()
 
         def schedule_retry(item: _Pending, delay: float) -> None:
             heapq.heappush(
@@ -585,22 +576,82 @@ class CampaignScheduler:
                 + [fp for entry in retry_heap for fp in entry[2].fingerprints]
             )
 
+        def recover(expired: set | None = None):
+            """Replace a crashed pool (``expired is None``) or one with
+            hung workers (``expired``: ids of the items past deadline)
+            and settle what was in flight.  Futures that finished
+            cleanly before the teardown are yielded first, so a
+            :class:`CampaignError` from a casualty cannot lose a result.
+            """
+            nonlocal pool
+            if expired is None:
+                self.counters.inc("sched.pool_breaks")
+                self._emit("sched.pool_broken", inflight=len(inflight))
+            _kill_workers(pool)
+            pool.shutdown(wait=False, cancel_futures=True)
+            pool = self._new_executor()
+            finished, casualties = [], []
+            for future, item in inflight.items():
+                if (
+                    future.done()
+                    and not future.cancelled()
+                    and future.exception() is None
+                ):
+                    finished.append((item, future.result()))
+                else:
+                    item.deadline = None
+                    casualties.append(item)
+            inflight.clear()
+            for item, raw in finished:
+                self._emit("sched.done", fp=item.fingerprint)
+                yield item, self._as_results(item, raw), None
+            for item in casualties:
+                if expired is None:
+                    exc = WorkerCrash(
+                        "worker process died while the run was in flight"
+                    )
+                elif id(item) in expired:
+                    exc = RunTimeout(
+                        f"run {item.label} exceeded the "
+                        f"{self.timeout * len(item.configs):g}s "
+                        "wall-clock limit"
+                    )
+                else:
+                    # One hung worker cannot be killed in isolation:
+                    # innocent bystanders are requeued free of charge.
+                    item.free_pass = True
+                    self._emit(
+                        "sched.requeue", fp=item.fingerprint,
+                        reason="timeout_kill",
+                    )
+                    ready.append(item)
+                    continue
+                outcome = self._settle_failure(item, exc, schedule_retry)
+                if outcome is not None:
+                    yield outcome
+
         try:
             while ready or retry_heap or inflight:
                 now = self._clock()
                 while retry_heap and retry_heap[0][0] <= now:
                     ready.append(heapq.heappop(retry_heap)[2])
 
-                # Dispatch up to the pool width.  Capping outstanding
-                # futures at `workers` means every submitted run is
-                # actually executing, so its deadline measures real run
-                # time and a pool break touches at most `workers` runs.
+                # Capping outstanding futures at `workers` means every
+                # submitted run is actually executing, so its deadline
+                # measures real run time and a pool break touches at
+                # most `workers` runs.
                 while ready and len(inflight) < self.workers:
                     item = ready.popleft()
                     charged = not item.free_pass
                     if charged:
                         item.attempts += 1
                     item.free_pass = False
+                    # Before submit: an in-process run is finished (and
+                    # its sched.done emitted) by the time submit returns.
+                    self._emit(
+                        "sched.dispatch", fp=item.fingerprint,
+                        attempt=item.attempts, label=item.label,
+                    )
                     try:
                         kwargs = self._call_kwargs(item)
                         if len(item.configs) == 1:
@@ -619,28 +670,13 @@ class CampaignScheduler:
                             item.attempts -= 1
                         item.free_pass = not charged
                         ready.appendleft(item)
-                        pool, finished, victims = self._recover_pool(
-                            pool, inflight, reason="crash"
-                        )
-                        for done_item, result, _ in finished:
-                            self._emit("sched.done", fp=done_item.fingerprint)
-                            yield done_item, result, None
-                        for victim in victims:
-                            outcome = self._settle_failure(
-                                victim,
-                                WorkerCrash(
-                                    "worker process died while the run "
-                                    "was in flight"
-                                ),
-                                schedule_retry,
-                            )
-                            if outcome is not None:
-                                yield outcome
+                        yield from recover()
                         continue
-                    self._emit(
-                        "sched.dispatch", fp=item.fingerprint,
-                        attempt=item.attempts, label=item.label,
-                    )
+                    except KeyboardInterrupt:
+                        # Interrupted inside an in-process run: the item
+                        # is in no queue; put it back to be abandoned.
+                        ready.appendleft(item)
+                        raise
                     item.deadline = (
                         None if self.timeout is None
                         else self._clock() + self.timeout * len(item.configs)
@@ -676,40 +712,21 @@ class CampaignScheduler:
                     if exc is None:
                         self._emit("sched.done", fp=item.fingerprint)
                         yield item, self._as_results(item, future.result()), None
-                        continue
-                    if isinstance(exc, BrokenProcessPool):
+                    elif isinstance(exc, BrokenProcessPool):
                         # Handled wholesale below so the rebuild sees one
                         # consistent in-flight set.
                         inflight[future] = item
                         broke = True
-                        continue
-                    if isinstance(exc, RunTimeout):
-                        self._note_timeout(item, exc)
-                    outcome = self._settle_failure(item, exc, schedule_retry)
-                    if outcome is not None:
-                        yield outcome
-
-                if broke:
-                    pool, finished, victims = self._recover_pool(
-                        pool, inflight, reason="crash"
-                    )
-                    for done_item, result, _ in finished:
-                        self._emit("sched.done", fp=done_item.fingerprint)
-                        yield done_item, result, None
-                    for victim in victims:
-                        outcome = self._settle_failure(
-                            victim,
-                            WorkerCrash(
-                                "worker process died while the run was "
-                                "in flight"
-                            ),
-                            schedule_retry,
-                        )
+                    else:
+                        outcome = self._settle_failure(item, exc, schedule_retry)
                         if outcome is not None:
                             yield outcome
-                    continue
 
-                if self.timeout is not None and inflight:
+                if broke:
+                    yield from recover()
+                elif self.timeout is not None:
+                    # A finished future is never expired: in-process
+                    # runs time out cooperatively (``timeout_s``) only.
                     now = self._clock()
                     expired = {
                         id(it)
@@ -719,35 +736,7 @@ class CampaignScheduler:
                         and not f.done()
                     }
                     if expired:
-                        # One hung worker cannot be killed in isolation:
-                        # terminate them all, respawn, requeue the
-                        # innocent bystanders free of charge.
-                        pool, finished, casualties = self._recover_pool(
-                            pool, inflight, reason="timeout"
-                        )
-                        for done_item, result, _ in finished:
-                            self._emit("sched.done", fp=done_item.fingerprint)
-                            yield done_item, result, None
-                        for item in casualties:
-                            if id(item) in expired:
-                                exc = RunTimeout(
-                                    f"run {item.label} exceeded the "
-                                    f"{self.timeout * len(item.configs):g}s "
-                                    "wall-clock limit"
-                                )
-                                self._note_timeout(item, exc)
-                                outcome = self._settle_failure(
-                                    item, exc, schedule_retry
-                                )
-                                if outcome is not None:
-                                    yield outcome
-                            else:
-                                item.free_pass = True
-                                self._emit(
-                                    "sched.requeue", fp=item.fingerprint,
-                                    reason="timeout_kill",
-                                )
-                                ready.append(item)
+                        yield from recover(expired)
         except CampaignError as fail:
             fail.abandoned = self._abandon(live_fingerprints())
             _kill_workers(pool)
@@ -757,13 +746,13 @@ class CampaignScheduler:
             _kill_workers(pool)
             raise
         finally:
-            # Never wait: on the success path the pool is already idle,
-            # and on every abort path waiting would block on runs we
-            # just decided to walk away from.
+            # Never wait: on the success path the executor is already
+            # idle, and on every abort path waiting would block on runs
+            # we just decided to walk away from.
             pool.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
-    # Failure / recovery plumbing
+    # Failure plumbing
     # ------------------------------------------------------------------
     def _call_kwargs(self, item: _Pending) -> dict:
         kwargs = {}
@@ -775,17 +764,18 @@ class CampaignScheduler:
             kwargs["attempt"] = item.attempts
         return kwargs
 
-    def _failure_action(
-        self, item: _Pending, exc: Exception
-    ) -> tuple[str, float]:
-        """Decide what one failed attempt means: ``("retry", delay)`` or
-        ``("record", 0)``; raises :class:`CampaignError` when the retry
-        budget is spent and the campaign is not in partial mode.
-
-        Never sleeps -- the serial backend sleeps inline (there is
-        nothing else to do), the pool backend turns the delay into a
-        per-item deadline so other runs keep flowing during the backoff.
+    def _settle_failure(self, item: _Pending, exc: Exception, schedule_retry):
+        """Route one failed attempt: reschedule it (returns None; the
+        backoff becomes its due time on the retry heap, never a sleep),
+        or, with the retry budget spent, return the outcome tuple to
+        yield -- in partial mode; otherwise raise :class:`CampaignError`.
         """
+        if isinstance(exc, RunTimeout):
+            self.counters.inc("sched.timeouts")
+            self._emit(
+                "sched.timeout", fp=item.fingerprint,
+                attempt=item.attempts, error=_describe(exc),
+            )
         if item.attempts <= self.retries:
             delay = min(
                 self.backoff_cap,
@@ -796,56 +786,14 @@ class CampaignScheduler:
                 "sched.retry", fp=item.fingerprint,
                 attempt=item.attempts, delay=delay, error=_describe(exc),
             )
-            return "retry", delay
+            schedule_retry(item, delay)
+            return None
         if self.partial:
-            return "record", 0.0
+            return item, None, _describe(exc)
         raise CampaignError(
             f"run {item.label} failed after {item.attempts} "
             f"attempt(s): {_describe(exc)}"
         ) from exc
-
-    def _settle_failure(self, item: _Pending, exc: Exception, schedule_retry):
-        """Route one failed attempt; returns an outcome tuple to yield,
-        or None when the item was rescheduled."""
-        action, delay = self._failure_action(item, exc)
-        if action == "retry":
-            schedule_retry(item, delay)
-            return None
-        return item, None, _describe(exc)
-
-    def _recover_pool(self, pool, inflight: dict, reason: str):
-        """Tear down a broken/hung pool and build a fresh one.
-
-        Classifies what was in flight: futures that finished cleanly
-        before the teardown become successes, everything else is a
-        casualty for the caller to requeue or charge.  Returns
-        ``(new_pool, finished, casualties)``.
-        """
-        if reason == "crash":
-            self.counters.inc("sched.pool_breaks")
-            self._emit("sched.pool_broken", inflight=len(inflight))
-        _kill_workers(pool)
-        pool.shutdown(wait=False, cancel_futures=True)
-        finished, casualties = [], []
-        for future, item in inflight.items():
-            if (
-                future.done()
-                and not future.cancelled()
-                and future.exception() is None
-            ):
-                finished.append((item, self._as_results(item, future.result()), None))
-            else:
-                item.deadline = None
-                casualties.append(item)
-        inflight.clear()
-        return ProcessPoolExecutor(max_workers=self.workers), finished, casualties
-
-    def _note_timeout(self, item: _Pending, exc: Exception) -> None:
-        self.counters.inc("sched.timeouts")
-        self._emit(
-            "sched.timeout", fp=item.fingerprint,
-            attempt=item.attempts, error=_describe(exc),
-        )
 
     def _abandon(self, fingerprints: list[str]) -> list[str]:
         self._abandoned = list(fingerprints)

@@ -1,8 +1,10 @@
 """Tests for the live campaign service (HTTP JSON tier) and its client."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -274,6 +276,30 @@ class TestQueueAPI:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=5)
         assert err.value.code == 400
+
+
+    def test_oversized_json_body_400_without_buffering(self, store, service):
+        # A control body is capped at 1 MiB (object bundles keep their
+        # own cap).  Only the header is sent: the server must refuse on
+        # Content-Length alone instead of waiting to buffer the body.
+        cid = self.enqueue(store)
+        address = urlsplit(service.url)
+        conn = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=5
+        )
+        try:
+            conn.putrequest("POST", f"/campaigns/{cid}/claim")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str((1 << 20) + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "exceeds" in json.loads(response.read().decode())["error"]
+        finally:
+            conn.close()
+        # Nothing was claimed on the way.
+        queue = ShardQueue.open(queue_root(store, cid))
+        assert queue.status()["claimed"] == []
 
 
 class TestObjectRoutes:

@@ -105,6 +105,29 @@ class TestHttpTransport:
             == shard.fingerprints[0]
         assert transport.ttl_s(enq.campaign_id) == 60.0  # cached from claim
 
+    def test_http_claim_writes_the_lease_a_file_claim_writes(
+        self, coord, service, clock
+    ):
+        # The service's lease routes are FileTransport behind HTTP: two
+        # claims on one queue, one per transport, leave sidecars that
+        # differ only in what names the shard and its holder.
+        _, report = enqueue(coord, n=2)
+        cid = report.campaign_id
+        by_http, _ = HttpTransport(service.url).claim(cid, "w-http")
+        by_file, _ = FileTransport(coord, clock=clock).claim(cid, "w-file")
+        assert (by_http.campaign_id, by_file.campaign_id) == (cid, cid)
+        assert by_http.id != by_file.id
+        queue = ShardQueue.open(queue_root(coord, cid))
+        http_lease = queue.lease(by_http.id)
+        file_lease = queue.lease(by_file.id)
+        assert http_lease.keys() == file_lease.keys()
+        assert (http_lease["worker"], file_lease["worker"]) == (
+            "w-http", "w-file"
+        )
+        for field in ("deadline", "renewals", "ts"):
+            assert http_lease[field] == file_lease[field]
+        assert http_lease["deadline"] == clock.now + 60.0
+
     def test_double_complete_idempotent_over_http(self, coord, service):
         _, enq = enqueue(coord, n=1)
         transport = HttpTransport(service.url)

@@ -181,3 +181,35 @@ class TestSchedulerWiring:
         last = last_heartbeat(store.heartbeat_path(report.campaign_id))
         assert last["phase"] == "done"
         assert last["failed"] == 1
+
+    def test_unexpected_exception_ends_the_stream_failed(self, store, monkeypatch):
+        import errno
+
+        import repro.store.scheduler as scheduler_module
+
+        opened = []
+
+        class Recorded(CampaignHeartbeat):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(scheduler_module, "CampaignHeartbeat", Recorded)
+        put = store.put
+        puts = []
+
+        def full_disk(config, result):
+            puts.append(config.seed)
+            if len(puts) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return put(config, result)
+
+        monkeypatch.setattr(store, "put", full_disk)
+        configs = [make_config(seed=s) for s in range(3)]
+        with pytest.raises(OSError):
+            self._run(store, configs)
+        (heartbeat,) = opened
+        assert heartbeat._fh is None  # stream closed, not left dangling
+        last = last_heartbeat(store.heartbeat_path(store.campaign_ids()[0]))
+        assert last["phase"] == "failed"
+        assert last["done"] == last["executed"] == 1

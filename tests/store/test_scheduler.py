@@ -36,6 +36,12 @@ def _boom(config):
     raise RuntimeError(f"transient fault for seed {config.seed}")
 
 
+def _fail_seed1(config):
+    if config.seed == 1:
+        raise RuntimeError("bad seed")
+    return make_result(config)
+
+
 def _record_checkpoint_saves(store, monkeypatch) -> list:
     """Route ``store.save_checkpoint`` through a list of campaign ids."""
     saves = []
@@ -109,8 +115,11 @@ class TestRetries:
                 raise RuntimeError("flap")
             return make_result(config)
 
+        # The loop sleeps the time left until the retry is due; a frozen
+        # clock makes that the backoff delay exactly.
         report = CampaignScheduler(
             retries=3, backoff_base=0.5, run_fn=flaky, sleep=delays.append,
+            clock=lambda: 0.0,
         ).run(_configs(1))
         assert report.executed == 1
         assert report.retries == 2
@@ -121,7 +130,7 @@ class TestRetries:
         with pytest.raises(CampaignError):
             CampaignScheduler(
                 retries=4, backoff_base=1.0, backoff_cap=2.5,
-                run_fn=_boom, sleep=delays.append,
+                run_fn=_boom, sleep=delays.append, clock=lambda: 0.0,
             ).run(_configs(1))
         assert delays == [1.0, 2.0, 2.5, 2.5]
 
@@ -133,14 +142,37 @@ class TestRetries:
         assert "after 2 attempt(s)" in str(excinfo.value)
         assert "transient fault" in str(excinfo.value)
 
-    def test_partial_mode_records_and_continues(self):
-        def sometimes(config):
-            if config.seed == 1:
-                raise RuntimeError("bad seed")
+    def test_backoff_does_not_hold_up_the_next_ready_run(self):
+        # workers=1: seed 0 fails its first attempt and backs off 5 s.
+        # Seed 1 runs and is delivered while seed 0 waits, and the loop
+        # sleeps only once nothing is ready.
+        now = [0.0]
+        sleeps = []
+        seen = []
+
+        def flaky_seed0(config, attempt=1):
+            if config.seed == 0 and attempt == 1:
+                raise RuntimeError("flap")
             return make_result(config)
 
+        def sleep(delay):
+            sleeps.append((delay, list(seen)))
+            now[0] += delay
+
         report = CampaignScheduler(
-            partial=True, retries=1, run_fn=sometimes, sleep=lambda _: None,
+            retries=1, backoff_base=5.0, run_fn=flaky_seed0,
+            sleep=sleep, clock=lambda: now[0],
+            on_result=lambda result, *_: seen.append(result.seed),
+        ).run(_configs(2))
+        assert report.executed == 2
+        assert seen == [1, 0]  # A fails, B runs, A retries
+        assert sleeps == [(5.0, [1])]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_partial_mode_records_and_continues(self, workers):
+        report = CampaignScheduler(
+            workers=workers, partial=True, retries=1, run_fn=_fail_seed1,
+            sleep=lambda _: None,
         ).run(_configs(3))
         assert report.executed == 2
         (failure,) = report.failures

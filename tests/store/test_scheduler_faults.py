@@ -1,9 +1,9 @@
 """Failure-path tests for the campaign scheduler.
 
-Covers the hardening features: per-run timeouts (hard kill in pool
-mode, cooperative in serial mode), ``BrokenProcessPool`` recovery,
+Covers the hardening features: per-run timeouts (hard kill of pool
+workers, cooperative in-process), ``BrokenProcessPool`` recovery,
 graceful interrupts, the non-blocking retry backoff, and prompt aborts.
-Pool-mode run functions are module-level (picklable); wall-clock
+Run functions sent to a pool are module-level (picklable); wall-clock
 assertions use generous margins so loaded CI machines do not flake.
 """
 
@@ -107,9 +107,10 @@ def _exit_always(config):
 
 
 class TestPoolRetries:
-    def test_worker_exception_retried_under_pool(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_exception_retried_under_pool(self, workers):
         report = CampaignScheduler(
-            workers=2, retries=1, backoff_base=0.01, run_fn=_fail_first,
+            workers=workers, retries=1, backoff_base=0.01, run_fn=_fail_first,
         ).run(_configs(3))
         assert report.executed == 3
         assert report.retries == 3
@@ -141,13 +142,17 @@ class TestPoolRetries:
 
 
 class TestPoolAbort:
-    def test_abort_is_prompt_and_records_abandoned(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_abort_is_prompt_and_records_abandoned(self, workers):
         # Seed 0 fails instantly with no retry budget; seed 1 would run
-        # for 30 s.  The abort must not wait for it.
+        # for 30 s.  The abort must not wait for it (or, at workers=1,
+        # start it).
         configs = _configs(2)
         start = perf_counter()
         with pytest.raises(CampaignError) as excinfo:
-            CampaignScheduler(workers=2, run_fn=_boom_or_hang).run(configs)
+            CampaignScheduler(
+                workers=workers, run_fn=_boom_or_hang
+            ).run(configs)
         elapsed = perf_counter() - start
         assert elapsed < 15.0, f"abort blocked for {elapsed:.1f}s"
         assert excinfo.value.abandoned == [config_fingerprint(configs[1])]

@@ -56,6 +56,27 @@ def test_condition_command(capsys):
     assert "frame rate" in out
 
 
+def test_condition_solo_reports_rtt_over_the_solo_window(capsys, monkeypatch):
+    # No competitor, no contention phase: the RTT line must use the
+    # window Table 3 uses for solo runs.
+    from repro.experiments.campaign import ConditionResult
+
+    windows = []
+    rtt_cell = ConditionResult.rtt_cell
+
+    def spy(self, timeline, window="contention"):
+        windows.append(window)
+        return rtt_cell(self, timeline, window)
+
+    monkeypatch.setattr(ConditionResult, "rtt_cell", spy)
+    rc = main(["condition", "--system", "stadia", "--profile", "smoke",
+               "--iterations", "1"])
+    assert rc == 0
+    assert windows == ["solo"]
+    out = capsys.readouterr().out
+    assert "RTT" in out and "fairness ratio" not in out
+
+
 def test_invalid_system_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--system", "psnow", "--profile", "smoke"])
