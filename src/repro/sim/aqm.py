@@ -72,11 +72,11 @@ class CoDelQueue(Queue):
         self.interval = interval
         self._state = _CoDelState()
 
-    def enqueue(self, pkt: Packet) -> bool:
+    def enqueue(self, pkt: Packet, now: float) -> bool:
         if self.bytes + pkt.size > self.limit_bytes:
-            self._drop(pkt)
+            self._drop(pkt, now)
             return False
-        self._admit(pkt)
+        self._admit(pkt, now)
         return True
 
     # -- CoDel dequeue machinery ----------------------------------------
@@ -102,7 +102,7 @@ class CoDelQueue(Queue):
                 state.dropping = False
             else:
                 while state.dropping and now >= state.drop_next:
-                    self._drop(pkt)
+                    self._drop(pkt, now)
                     state.count += 1
                     pkt = self._pop_fifo()
                     if pkt is None:
@@ -115,7 +115,7 @@ class CoDelQueue(Queue):
                             state.drop_next, self.interval, state.count
                         )
         elif drop:
-            self._drop(pkt)
+            self._drop(pkt, now)
             pkt = self._pop_fifo()
             if pkt is None:
                 return None
@@ -183,7 +183,7 @@ class FQCoDelQueue(Queue):
             self._flows[flow] = fq
         return fq
 
-    def _drop_from_longest(self) -> None:
+    def _drop_from_longest(self, now: float) -> None:
         """On overflow, drop from the fattest flow (RFC 8290 section 4.1.3)."""
         fattest = max(
             (fq for fq in self._flows.values() if fq.fifo),
@@ -194,16 +194,16 @@ class FQCoDelQueue(Queue):
             return
         victim = fattest.fifo.popleft()
         self.bytes -= victim.size
-        self._drop(victim)
+        self._drop(victim, now)
 
-    def enqueue(self, pkt: Packet) -> bool:
+    def enqueue(self, pkt: Packet, now: float) -> bool:
         if self.bytes + pkt.size > self.limit_bytes:
-            self._drop_from_longest()
+            self._drop_from_longest(now)
             if self.bytes + pkt.size > self.limit_bytes:
-                self._drop(pkt)
+                self._drop(pkt, now)
                 return False
         fq = self._flow_queue(pkt.flow)
-        pkt.enqueued_at = self.sim.now
+        pkt.enqueued_at = now
         fq.fifo.append(pkt)
         self.bytes += pkt.size
         self.enqueues += 1
@@ -211,7 +211,7 @@ class FQCoDelQueue(Queue):
             self.peak_bytes = self.bytes
         if self.tracer.enabled:
             self.tracer.emit(
-                "queue.enqueue", self.sim.now,
+                "queue.enqueue", now,
                 flow=pkt.flow, size=pkt.size, q=self.bytes,
             )
         if not fq.active:
@@ -241,14 +241,14 @@ class FQCoDelQueue(Queue):
                 state.dropping = True
                 state.count = 1
                 state.drop_next = _control_law(now, self.interval, state.count)
-                self._drop(pkt)
+                self._drop(pkt, now)
                 continue
             if now >= state.drop_next:
                 state.count += 1
                 state.drop_next = _control_law(
                     state.drop_next, self.interval, state.count
                 )
-                self._drop(pkt)
+                self._drop(pkt, now)
                 continue
             return pkt
         state.dropping = False

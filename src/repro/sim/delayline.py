@@ -1,14 +1,15 @@
 """Coalesced FIFO delay lines.
 
 Several stages of the packet path are *provably order-preserving*: a
-netem delay stage clamps each release to the previous one, a link's
+netem delay stage clamps each release to the previous one, and a link's
 propagation leg adds a fixed delay to strictly increasing transmission
-completions, and the streaming server's pacer releases packets at a
-monotonically advancing pace horizon.  Scheduling one engine event per
-packet through such a stage is wasteful twice over: every packet costs
-a fresh :class:`~repro.sim.engine.Event` allocation, and a
-bandwidth-delay product worth of queued deliveries inflates the live
-heap that every *other* push and pop must sift through.
+completions.  Scheduling one engine event per packet through such a
+stage is wasteful twice over: every packet costs a fresh
+:class:`~repro.sim.engine.Event` allocation, and a bandwidth-delay
+product worth of queued deliveries inflates the live heap that every
+*other* push and pop must sift through.  (A stage that feeds a
+:class:`~repro.sim.link.Link` needs no timer at all: see the link's
+timestamped hand-off.)
 
 A :class:`DelayLine` replaces that with an internal
 ``(release, seq, item)`` deque drained by a single self-rearming head
@@ -71,6 +72,8 @@ class DelayLine:
     # (they run once per packet per stage).  The shortcuts are safe
     # because the timer is never cancelled and releases are monotone, so
     # the rearm-time validation (`time >= now`) holds by construction.
+    # The owning stage may remove queued entries (NetemDelay.withdraw);
+    # a timer armed for a removed head delivers nothing and moves on.
 
     def push(self, release: float, item: Any) -> None:
         """Queue ``item`` for delivery at ``release`` (>= previous push)."""
@@ -86,7 +89,8 @@ class DelayLine:
 
     def _fire(self) -> None:
         q = self._q
-        self.deliver(q.popleft()[2])
+        if q and q[0][1] == self._timer.seq:
+            self.deliver(q.popleft()[2])
         if q:
             release, seq, _ = q[0]
             timer = self._timer

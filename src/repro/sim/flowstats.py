@@ -18,9 +18,10 @@ class FlowStats:
     """Counters for one flow.
 
     The ``on_*`` methods are per-flow hooks: a component that serves
-    exactly one flow (a TCP sender, the streaming server) takes the
-    bound method directly -- via :meth:`StatsRegistry.send_hook` -- and
-    skips the per-packet flow-id lookup of the registry-level hooks.
+    exactly one flow (a TCP sender) takes the bound method directly --
+    via :meth:`StatsRegistry.send_hook` -- and skips the per-packet
+    flow-id lookup of the registry-level hooks.  The streaming server
+    takes the object itself and adds to the sent counters in bulk.
     """
 
     flow: str

@@ -14,12 +14,14 @@ percent of random loss.
 
 from __future__ import annotations
 
+from heapq import heapify, heappush
 from typing import Callable
 
 import numpy as np
 
 from repro.sim.delayline import DelayLine
 from repro.sim.engine import Simulator
+from repro.sim.link import Link
 from repro.sim.packet import Packet
 
 __all__ = ["NetemDelay", "NetemLoss"]
@@ -28,9 +30,12 @@ __all__ = ["NetemDelay", "NetemLoss"]
 class NetemDelay:
     """Fixed (optionally jittered) one-way delay, order-preserving.
 
-    The no-reordering clamp makes the stage provably FIFO, so deliveries
-    ride a coalesced :class:`~repro.sim.delayline.DelayLine`: one live
-    heap entry for the whole stage instead of one per packet in flight.
+    The no-reordering clamp makes the stage provably FIFO.  In front of
+    a :class:`~repro.sim.link.Link` it is pure arithmetic: the packet is
+    handed on at once, stamped with its release time (the link's
+    timestamped hand-off).  Any other sink is reached through a coalesced
+    :class:`~repro.sim.delayline.DelayLine`: one live heap entry for the
+    whole stage instead of one per packet in flight.
 
     Args:
         sim: the event loop.
@@ -60,38 +65,59 @@ class NetemDelay:
         self.rng = rng
         self.sink = sink
         self._last_release = 0.0
-        self.packets_delayed = 0
-        self._line = DelayLine(sim, sink.receive)
-        self._sched_push = sim._push
+        self._link = sink if isinstance(sink, Link) else None
+        self._line = DelayLine(sim, sink.receive) if self._link is None else None
+        # Where delayed packets wait (same package: read by len/withdraw).
+        self._waiting = self._line._q if self._link is None else sink.arrivals
 
-    def receive(self, pkt: Packet) -> None:
-        sim = self.sim
+    def receive(self, pkt: Packet, at: float | None = None) -> None:
+        """Delay ``pkt``, which enters the stage at ``at`` (default: now).
+
+        A sender that knows its pace schedule hands packets over ahead
+        of time with ``at = pkt.sent_at`` in the future; until then they
+        are not in the stage yet, and :meth:`withdraw` takes them back.
+        """
         delay = self.delay
         if self.jitter > 0:
             delay += self.rng.uniform(-self.jitter, self.jitter)
             if delay < 0:
                 delay = 0.0
-        release = sim.now + delay
+        release = (self.sim.now if at is None else at) + delay
         if release < self._last_release:  # no reordering
             release = self._last_release
         else:
             self._last_release = release
-        self.packets_delayed += 1
-        # Inlined DelayLine.push (same package): every packet crosses a
-        # delay stage at least twice, and the saved frame is measurable.
-        line = self._line
-        seq = sim._seq = sim._seq + 1
-        line._q.append((release, seq, pkt))
-        if not line._armed:
-            line._armed = True
-            timer = line._timer
-            timer.time = release
-            timer.seq = seq
-            self._sched_push(release, seq, timer)
+        link = self._link
+        if link is None:
+            self._line.push(release, pkt)
+            return
+        sim = self.sim
+        seq = sim._seq = sim._seq + 1  # the one a delivery event would take
+        heappush(link.arrivals, (release, seq, pkt, self))
+        if not link.busy or link.observed:
+            link.expect_arrival()
+
+    def _entries(self) -> list[tuple]:
+        """This stage's waiting ``(release, seq, pkt, ...)`` entries."""
+        link = self._link
+        return [e for e in self._waiting if link is None or e[3] is self]
+
+    def withdraw(self, after: float) -> None:
+        """Take back the packets whose send time is later than ``after``.
+
+        The timer standing in a withdrawn entry's slot stays armed; it
+        finds the entry gone and moves on.
+        """
+        for entry in self._entries():
+            if entry[2].sent_at > after:
+                self._waiting.remove(entry)
+        if self._link is not None:
+            heapify(self._waiting)
 
     def __len__(self) -> int:
         """Packets currently traversing the delay stage."""
-        return len(self._line)
+        now = self.sim.now
+        return sum(1 for e in self._entries() if e[2].sent_at <= now < e[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<NetemDelay {self.delay * 1e3:.2f}ms jitter={self.jitter * 1e3:.2f}ms>"

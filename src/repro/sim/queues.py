@@ -49,29 +49,24 @@ class Queue:
     def __len__(self) -> int:
         return len(self._fifo)
 
-    def enqueue(self, pkt: Packet) -> bool:
-        """Admit ``pkt``.  Returns False (and counts a drop) if refused."""
+    def enqueue(self, pkt: Packet, now: float) -> bool:
+        """Admit ``pkt``, which arrived at ``now``.
+
+        Returns False (and counts a drop) if refused.  The arrival time
+        is an argument because a link admits arrivals when it next
+        serves the queue, which can be later than they arrived (see
+        :class:`~repro.sim.link.Link`); ``enqueued_at``, sojourn times
+        and tracepoints carry the arrival time either way.
+        """
         raise NotImplementedError
 
     def pop(self) -> Packet | None:
         """Remove and return the next packet to transmit, or None."""
         raise NotImplementedError
 
-    def express(self, pkt: Packet) -> Packet | None:
-        """Collapsed admit-then-dequeue for an idle link, or None.
-
-        An idle link over an empty FIFO would enqueue ``pkt`` and pop it
-        straight back; plain FIFOs implement that round trip as one call
-        (counters and tracepoints identical to the two-step path).  The
-        base returns None -- "use the two-step path" -- which AQM queues
-        keep, because their drop logic runs at dequeue time and must see
-        every packet.
-        """
-        return None
-
     # Shared helpers -----------------------------------------------------
-    def _admit(self, pkt: Packet) -> None:
-        pkt.enqueued_at = self.sim.now
+    def _admit(self, pkt: Packet, now: float) -> None:
+        pkt.enqueued_at = now
         self._fifo.append(pkt)
         self.bytes += pkt.size
         self.enqueues += 1
@@ -79,15 +74,15 @@ class Queue:
             self.peak_bytes = self.bytes
         if self.tracer.enabled:
             self.tracer.emit(
-                "queue.enqueue", self.sim.now,
+                "queue.enqueue", now,
                 flow=pkt.flow, size=pkt.size, q=self.bytes,
             )
 
-    def _drop(self, pkt: Packet) -> None:
+    def _drop(self, pkt: Packet, now: float) -> None:
         self.drops += 1
         if self.tracer.enabled:
             self.tracer.emit(
-                "queue.drop", self.sim.now,
+                "queue.drop", now,
                 flow=pkt.flow, size=pkt.size, q=self.bytes, drops=self.drops,
             )
         if self.on_drop is not None:
@@ -103,31 +98,6 @@ class Queue:
                 "queue.dequeue", self.sim.now,
                 flow=pkt.flow, size=pkt.size, q=self.bytes,
                 sojourn=self.sim.now - pkt.enqueued_at,
-            )
-        return pkt
-
-    def _express_fifo(self, pkt: Packet) -> Packet:
-        """Admit + immediately dequeue through an empty FIFO, in one step.
-
-        Counters and tracepoints match :meth:`_admit` followed by
-        :meth:`_pop_fifo` exactly; the deque append/popleft pair is the
-        only thing skipped.  The plain-FIFO subclasses inline this body
-        into :meth:`express` (their hottest path on an unsaturated
-        link); this copy is the readable reference they must mirror.
-        """
-        now = self.sim.now
-        pkt.enqueued_at = now
-        self.enqueues += 1
-        occupied = self.bytes + pkt.size
-        if occupied > self.peak_bytes:
-            self.peak_bytes = occupied
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "queue.enqueue", now, flow=pkt.flow, size=pkt.size, q=occupied,
-            )
-            self.tracer.emit(
-                "queue.dequeue", now,
-                flow=pkt.flow, size=pkt.size, q=self.bytes, sojourn=0.0,
             )
         return pkt
 
@@ -152,13 +122,12 @@ class DropTailQueue(Queue):
         super().__init__(sim, on_drop, tracer)
         self.limit_bytes = limit_bytes
 
-    def enqueue(self, pkt: Packet) -> bool:
+    def enqueue(self, pkt: Packet, now: float) -> bool:
         # Inlined _admit: under contention every packet pays this path.
         occupied = self.bytes + pkt.size
         if occupied > self.limit_bytes:
-            self._drop(pkt)
+            self._drop(pkt, now)
             return False
-        now = self.sim.now
         pkt.enqueued_at = now
         self._fifo.append(pkt)
         self.bytes = occupied
@@ -175,37 +144,12 @@ class DropTailQueue(Queue):
     # ``pop`` saves the wrapper frame the link pays per transmission.
     pop = Queue._pop_fifo
 
-    def express(self, pkt: Packet) -> Packet | None:
-        if self._fifo or self.bytes + pkt.size > self.limit_bytes:
-            return None  # occupied or refused: take the two-step path
-        # Inlined _express_fifo (see its docstring).
-        now = self.sim.now
-        pkt.enqueued_at = now
-        self.enqueues += 1
-        occupied = self.bytes + pkt.size
-        if occupied > self.peak_bytes:
-            self.peak_bytes = occupied
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "queue.enqueue", now, flow=pkt.flow, size=pkt.size, q=occupied,
-            )
-            self.tracer.emit(
-                "queue.dequeue", now,
-                flow=pkt.flow, size=pkt.size, q=self.bytes, sojourn=0.0,
-            )
-        return pkt
-
 
 class UnboundedQueue(Queue):
     """FIFO with no limit, for links that are never the bottleneck."""
 
-    def enqueue(self, pkt: Packet) -> bool:
-        self._admit(pkt)
+    def enqueue(self, pkt: Packet, now: float) -> bool:
+        self._admit(pkt, now)
         return True
 
     pop = Queue._pop_fifo
-
-    def express(self, pkt: Packet) -> Packet | None:
-        if self._fifo:
-            return None
-        return self._express_fifo(pkt)

@@ -640,6 +640,7 @@ class CampaignScheduler:
                 # submitted run is actually executing, so its deadline
                 # measures real run time and a pool break touches at
                 # most `workers` runs.
+                dispatched = []
                 while ready and len(inflight) < self.workers:
                     item = ready.popleft()
                     charged = not item.free_pass
@@ -677,11 +678,18 @@ class CampaignScheduler:
                         # is in no queue; put it back to be abandoned.
                         ready.appendleft(item)
                         raise
-                    item.deadline = (
-                        None if self.timeout is None
-                        else self._clock() + self.timeout * len(item.configs)
-                    )
                     inflight[future] = item
+                    dispatched.append(item)
+                if self.timeout is not None and dispatched:
+                    # One clock read for the whole pass: runs dispatched
+                    # together expire together.  Stamped one `submit`
+                    # apart, the later of two hung runs could be a few
+                    # milliseconds short of its deadline when the first
+                    # one's kill took the pool down, and be requeued as
+                    # a bystander instead of counted as a timeout.
+                    started = self._clock()
+                    for item in dispatched:
+                        item.deadline = started + self.timeout * len(item.configs)
 
                 if not inflight:
                     # Everything live is waiting out a retry backoff:

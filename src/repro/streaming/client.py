@@ -169,7 +169,7 @@ class GameStreamClient:
         if frame.done:
             return
         indices = frame.indices
-        indices.add(meta.index)
+        indices.add(seq - meta.first_seq)
         if len(indices) >= frame.count:
             frame.done = True
             self.frames_displayed += 1

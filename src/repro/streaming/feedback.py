@@ -9,28 +9,36 @@ and the NACK list for repair.
 
 from __future__ import annotations
 
-__all__ = ["FeedbackReport", "MediaMeta", "FEEDBACK_BASE_SIZE"]
+__all__ = ["FeedbackReport", "FrameMeta", "FEEDBACK_BASE_SIZE"]
 
 #: Wire size of a feedback packet before NACK entries (bytes).
 FEEDBACK_BASE_SIZE = 80
 
 
-class MediaMeta:
-    """Per-media-packet metadata (RTP header analogue)."""
+class FrameMeta:
+    """Metadata shared by every media packet of one video frame.
 
-    __slots__ = ("frame_id", "index", "count", "retx", "keyframe")
+    A frame is a train of ``count`` packets with consecutive sequence
+    numbers from ``first_seq`` (a retransmission keeps the original's),
+    so the RTP-header analogue is per frame: a packet's index within
+    the frame is ``pkt.seq - first_seq`` and only the last packet is
+    shorter than the profile's packet size.
+    """
+
+    __slots__ = ("frame_id", "first_seq", "count", "keyframe", "size")
 
     def __init__(
-        self, frame_id: int, index: int, count: int, retx: bool = False, keyframe: bool = False
+        self, frame_id: int, first_seq: int, count: int,
+        keyframe: bool = False, size: int = 0,
     ):
         self.frame_id = frame_id  # which video frame
-        self.index = index  # packet index within the frame
+        self.first_seq = first_seq  # sequence number of its first packet
         self.count = count  # packets in the frame
-        self.retx = retx  # retransmission?
         self.keyframe = keyframe
+        self.size = size  # encoded frame size, bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MediaMeta f{self.frame_id} {self.index}/{self.count}>"
+        return f"<FrameMeta f{self.frame_id} seq {self.first_seq}+{self.count}>"
 
 
 class FeedbackReport:

@@ -6,20 +6,25 @@ into ~1200-byte media packets paced at a small headroom above the
 target bitrate (so keyframes do not burst the bottleneck queue), and
 feedback reports from the client drive the GCC-family controller and
 the per-system frame-rate policy.  NACKed packets are retransmitted
-from a short history buffer.
+from a short frame history.
+
+The pacer is arithmetic, not a timer: a packet's send time is known
+when its frame is packetised, so it is built there with that ``sent_at``
+and handed to the path at once (``path.receive(pkt, at)``).  It counts
+as sent once the clock reaches ``sent_at`` (:meth:`GameStreamServer.settle`).
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.sim.delayline import DelayLine
 from repro.sim.engine import Simulator
-from repro.sim.flowstats import FlowStats
 from repro.sim.packet import FEEDBACK, MEDIA, Packet
 from repro.streaming.encoder import Encoder
-from repro.streaming.feedback import FeedbackReport, MediaMeta
+from repro.streaming.feedback import FeedbackReport, FrameMeta
 from repro.streaming.frames import ComplexityProcess
 from repro.streaming.gcc import GccController
 from repro.streaming.systems import SystemProfile
@@ -49,9 +54,12 @@ class GameStreamServer:
         sim: the event loop.
         flow: flow id for all media packets.
         profile: the system under test (Stadia/GeForce/Luna profile).
-        path: downstream sink toward the client.
+        path: downstream delay stage toward the client, taking packets
+            ahead of their send time: ``receive(pkt, at)`` and
+            ``withdraw(after)`` (:class:`~repro.sim.netem.NetemDelay`).
         rng: seeded per-run generator (complexity, encoder noise).
-        on_send: optional per-packet hook (stats registry).
+        stats: optional :class:`~repro.sim.flowstats.FlowStats` whose
+            sent counters follow the server's (see :meth:`settle`).
         tracer: optional tracepoint bus shared with the controller.
     """
 
@@ -62,23 +70,14 @@ class GameStreamServer:
         profile: SystemProfile,
         path,
         rng: np.random.Generator,
-        on_send=None,
+        stats=None,
         tracer: Tracer | None = None,
     ):
         self.sim = sim
         self.flow = flow
         self.profile = profile
         self.path = path
-        self.on_send = on_send
-        # The canonical hook is a bound FlowStats.on_send (two counter
-        # bumps).  Recognising it here lets _emit update the counters
-        # directly -- one hook call per media packet saved -- while any
-        # other callable still goes through the generic path.
-        self._send_stats = (
-            on_send.__self__
-            if getattr(on_send, "__func__", None) is FlowStats.on_send
-            else None
-        )
+        self.stats = stats
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.controller = GccController(profile, tracer=self.tracer, flow=flow)
         self.complexity = ComplexityProcess(
@@ -88,13 +87,11 @@ class GameStreamServer:
 
         self.current_fps = profile.fps
         self._seq = 0
-        self._retx_buffer: dict[int, tuple[int, MediaMeta]] = {}
+        # Frames covering the last _RETX_HISTORY seqs (NACK repair) and
+        # the packets handed over but not yet counted as sent, in order.
+        self._frames: deque[FrameMeta] = deque()
+        self._unsent: deque[Packet] = deque()
         self._pace_next = 0.0
-        # The pace horizon only advances, so releases are monotone and
-        # the pacer is an order-preserving delay line: one live timer
-        # for the whole send queue instead of one event per packet.
-        self._pace_line = DelayLine(sim, self._emit)
-        self._pace_push = self._pace_line.push
         self._retx_rate = 0.0  # bits/second spent on repairs (EWMA)
         self._retx_bytes_tick = 0  # repair bytes since the last frame tick
         self._running = False
@@ -118,12 +115,34 @@ class GameStreamServer:
         self._frame_tick()
 
     def stop(self) -> None:
+        """Stop streaming; packets paced for later are never sent."""
         if not self._running:
             return
         self._running = False
         if self._frame_event is not None:
             self._frame_event.cancel()
             self._frame_event = None
+        self.settle()
+        self._unsent.clear()
+        self.path.withdraw(self.sim.now)
+
+    def settle(self) -> None:
+        """Count the packets whose send time has come as sent.
+
+        Runs at every frame tick; call it before reading the sent
+        counters (the server's or ``stats``') in between.
+        """
+        now = self.sim.now
+        unsent = self._unsent
+        packets = nbytes = 0
+        while unsent and unsent[0].sent_at <= now:
+            nbytes += unsent.popleft().size
+            packets += 1
+        self.packets_sent += packets
+        self.bytes_sent += nbytes
+        if self.stats is not None:
+            self.stats.packets_sent += packets
+            self.stats.bytes_sent += nbytes
 
     # ------------------------------------------------------------------
     # Media generation
@@ -132,6 +151,7 @@ class GameStreamServer:
         if not self._running:
             return
         now = self.sim.now
+        self.settle()
         # Repair traffic is paid for out of the media budget (real-time
         # stacks do the same): estimate the recent retransmission rate
         # and encode below the controller target by that much, so total
@@ -165,60 +185,50 @@ class GameStreamServer:
         psize = self.profile.packet_size
         count = max(1, (size + psize - 1) // psize)
         remaining = size
-        frame_id = frame.frame_id
-        keyframe = frame.keyframe
-        seq = self._seq
-        buf = self._retx_buffer
-        buf_pop = buf.pop
+        first_seq = self._seq
+        self._seq = end_seq = first_seq + count
+        meta = FrameMeta(frame.frame_id, first_seq, count, frame.keyframe, size)
+        frames = self._frames
+        frames.append(meta)
+        while frames[0].first_seq + frames[0].count <= end_seq - _RETX_HISTORY:
+            frames.popleft()
         target = self.controller.target
         pace_rate = max(_PACE_HEADROOM * target, target + _PACE_MARGIN, _PACE_FLOOR)
         now = self.sim.now
         pace_next = self._pace_next
-        push = self._pace_push
-        for index in range(count):
+        flow = self.flow
+        hand_over = self.path.receive
+        unsent_append = self._unsent.append
+        for seq in range(first_seq, end_seq):
             chunk = psize if remaining > psize else remaining
             remaining -= chunk
-            meta = MediaMeta(frame_id, index, count, keyframe=keyframe)
-            buf[seq] = (chunk, meta)
-            # Sequence numbers are dense, so expiring exactly one entry
-            # per insertion keeps the buffer at the history size in O(1).
-            buf_pop(seq - _RETX_HISTORY, None)
             at = pace_next if pace_next > now else now
             pace_next = at + chunk * 8.0 / pace_rate
-            push(at, (seq, chunk, meta, False))
-            seq += 1
-        self._seq = seq
+            # Positional Packet construction: keyword passing costs ~40%
+            # more on this, the busiest constructor call in a streaming run.
+            pkt = Packet(flow, seq, chunk, MEDIA, at, meta)
+            unsent_append(pkt)
+            hand_over(pkt, at)
         self._pace_next = pace_next
 
-    def _schedule_send(self, seq: int, size: int, meta: MediaMeta, retx: bool) -> None:
-        now = self.sim.now
-        if retx:
-            self._retx_bytes_tick += size
+    def _schedule_send(self, seq: int, size: int, meta: FrameMeta) -> None:
+        """Pace one repair packet behind everything already scheduled."""
+        self._retx_bytes_tick += size
         target = self.controller.target
         pace_rate = max(_PACE_HEADROOM * target, target + _PACE_MARGIN, _PACE_FLOOR)
-        at = max(now, self._pace_next)
+        at = max(self.sim.now, self._pace_next)
         self._pace_next = at + size * 8.0 / pace_rate
-        self._pace_push(at, (seq, size, meta, retx))
+        pkt = Packet(self.flow, seq, size, MEDIA, at, meta)
+        self._unsent.append(pkt)
+        self.path.receive(pkt, at)
 
-    def _emit(self, item: tuple[int, int, MediaMeta, bool]) -> None:
-        if not self._running:
-            return
-        seq, size, meta, retx = item
-        if retx:
-            meta = MediaMeta(meta.frame_id, meta.index, meta.count, retx=True,
-                             keyframe=meta.keyframe)
-        # Positional Packet construction: keyword passing costs ~40% more
-        # on this, the busiest constructor call in a streaming run.
-        pkt = Packet(self.flow, seq, size, MEDIA, self.sim.now, meta)
-        self.packets_sent += 1
-        self.bytes_sent += size
-        stats = self._send_stats
-        if stats is not None:
-            stats.packets_sent += 1
-            stats.bytes_sent += size
-        elif self.on_send is not None:
-            self.on_send(pkt)
-        self.path.receive(pkt)
+    def _frame_of(self, seq: int) -> FrameMeta | None:
+        """The frame ``seq`` belongs to, while it is still in the history."""
+        if self._seq - _RETX_HISTORY <= seq < self._seq:
+            for meta in reversed(self._frames):  # NACKs name recent packets
+                if meta.first_seq <= seq:
+                    return meta
+        return None
 
     # ------------------------------------------------------------------
     # Feedback handling
@@ -241,12 +251,14 @@ class GameStreamServer:
                     qdelay=report.qdelay_avg, rate=report.receive_rate,
                 )
             self._update_fps(now)
+        psize = self.profile.packet_size
         for seq in report.nacks:
-            entry = self._retx_buffer.get(seq)
-            if entry is not None:
-                size, meta = entry
+            meta = self._frame_of(seq)
+            if meta is not None:
+                last = meta.first_seq + meta.count - 1
+                size = psize if seq < last else meta.size - (meta.count - 1) * psize
                 self.retransmitted += 1
-                self._schedule_send(seq, size, meta, retx=True)
+                self._schedule_send(seq, size, meta)
 
     def _update_fps(self, now: float) -> None:
         profile = self.profile

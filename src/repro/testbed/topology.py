@@ -203,7 +203,7 @@ class GameStreamingTestbed:
             self.profile,
             path=self._down_netem[self.profile.name],
             rng=self.rng,
-            on_send=self.stats.send_hook(self.profile.name),
+            stats=self.stats.for_flow(self.profile.name),
             tracer=self.tracer,
         )
         self.client = GameStreamClient(
@@ -300,6 +300,8 @@ class GameStreamingTestbed:
             self._sample_occupancy()
         if self.metrics is not None:
             self.metrics.start()
+        # The sampler and the gauges read the queue between transmissions.
+        self.bottleneck.observed = self.tracer.enabled or self.metrics is not None
 
     def schedule_iperf(self, start: float, stop: float) -> None:
         """Schedule every competing flow's lifetime (paper: 185-370 s)."""
@@ -309,8 +311,14 @@ class GameStreamingTestbed:
             iperf.schedule(start, stop)
 
     def run(self, until: float) -> None:
-        """Advance the simulation to ``until`` seconds."""
+        """Advance the simulation to ``until`` seconds.
+
+        The downlink hands packets forward by timestamp; the two ledgers
+        that trail the clock between events are brought up to it here.
+        """
         self.sim.run(until=until)
+        self.bottleneck.settle()
+        self.server.settle()
 
     # ------------------------------------------------------------------
     @property

@@ -73,9 +73,9 @@ class TestCoDelQueue:
     def test_hard_limit_still_enforced(self):
         sim = Simulator()
         queue = CoDelQueue(sim, limit_bytes=2500)
-        assert queue.enqueue(mk_pkt(0))
-        assert queue.enqueue(mk_pkt(1))
-        assert not queue.enqueue(mk_pkt(2))
+        assert queue.enqueue(mk_pkt(0), sim.now)
+        assert queue.enqueue(mk_pkt(1), sim.now)
+        assert not queue.enqueue(mk_pkt(2), sim.now)
 
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
@@ -87,8 +87,8 @@ class TestFQCoDelQueue:
         sim = Simulator()
         queue = FQCoDelQueue(sim, limit_bytes=10**6)
         for i in range(10):
-            queue.enqueue(mk_pkt(i, flow="a"))
-        queue.enqueue(mk_pkt(0, flow="b"))
+            queue.enqueue(mk_pkt(i, flow="a"), sim.now)
+        queue.enqueue(mk_pkt(0, flow="b"), sim.now)
         # the new flow ("b" arrived after "a" was active) is served from
         # the new list before "a" drains completely
         popped_flows = [queue.pop().flow for _ in range(3)]
@@ -98,8 +98,8 @@ class TestFQCoDelQueue:
         sim = Simulator()
         queue = FQCoDelQueue(sim, limit_bytes=10**7)
         for i in range(50):
-            queue.enqueue(mk_pkt(i, flow="a", size=1000))
-            queue.enqueue(mk_pkt(i, flow="b", size=1000))
+            queue.enqueue(mk_pkt(i, flow="a", size=1000), sim.now)
+            queue.enqueue(mk_pkt(i, flow="b", size=1000), sim.now)
         first_20 = [queue.pop().flow for _ in range(20)]
         assert 5 <= first_20.count("a") <= 15
 
@@ -135,9 +135,9 @@ class TestFQCoDelQueue:
         dropped = []
         queue = FQCoDelQueue(sim, limit_bytes=10_000, on_drop=dropped.append)
         for i in range(9):
-            queue.enqueue(mk_pkt(i, flow="fat", size=1000))
-        queue.enqueue(mk_pkt(0, flow="thin", size=1000))
-        queue.enqueue(mk_pkt(1, flow="thin", size=1000))  # overflow
+            queue.enqueue(mk_pkt(i, flow="fat", size=1000), sim.now)
+        queue.enqueue(mk_pkt(0, flow="thin", size=1000), sim.now)
+        queue.enqueue(mk_pkt(1, flow="thin", size=1000), sim.now)  # overflow
         assert dropped
         assert all(p.flow == "fat" for p in dropped)
 
@@ -146,7 +146,7 @@ class TestFQCoDelQueue:
         queue = FQCoDelQueue(sim, limit_bytes=10**7)
         n = 100
         for i in range(n):
-            queue.enqueue(mk_pkt(i, flow=f"flow{i % 5}"))
+            queue.enqueue(mk_pkt(i, flow=f"flow{i % 5}"), sim.now)
         popped = 0
         while queue.pop() is not None:
             popped += 1

@@ -13,10 +13,21 @@ bbr-contention — here at smoke scale) both backends must produce
 not merely statistically similar output.  This is the same byte-exact
 protocol that gated the delay-line coalescing work (see
 docs/PERFORMANCE.md, "measurement protocol").
+
+The same protocol gates the timestamped downlink hand-off.  An
+unobserved run admits arrivals to the bottleneck lazily and an observed
+one (tracer attached) in an event each, so on every scenario and both
+backends the two must hash to the same result arrays, and the observed
+trace stream must be time-monotone and equal to the one recorded before
+the hand-off existed (``_PARENT_TRACE_SHA256``) -- apart from
+``run.end``'s ``events``, which is what the change reduces.
 """
 
+import functools
 import hashlib
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,13 +44,21 @@ _SCENARIOS = {
 
 _ARRAYS = ("times", "game_bps", "iperf_bps", "rtt_samples")
 
+#: sha256 of each scenario's trace stream (``run.end`` without its
+#: ``events`` field) at the commit before the timestamped hand-off,
+#: where every arrival at the bottleneck was an event.  Both backends
+#: produced the same stream.
+_PARENT_TRACE_SHA256 = {
+    "solo-stream":
+        "53669c34987adfbdd7d59fe6250cfcebf9af42f542e1444bde10f3a046df0716",
+    "cubic-contention":
+        "a76ab185847501194e4b5a79ae43144a2caf1e76a12004d42f5eb3be0c4b4426",
+    "bbr-contention":
+        "7e2486b39a8ee115c6df70c1bb894ec4494b8607e218a4dcc8e515f5e598ffc5",
+}
 
-def _measure(backend: str, cca: str | None, monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", backend)
-    sink = MemorySink()
-    config = RunConfig("stadia", 25e6, 2.0, cca=cca, seed=0, timeline=SMOKE)
-    result = run_single(config, tracer=Tracer(sink))
 
+def _result_sha256(result) -> str:
     digest = hashlib.sha256()
     for name in _ARRAYS:
         arr = np.ascontiguousarray(
@@ -48,23 +67,60 @@ def _measure(backend: str, cca: str | None, monkeypatch):
         digest.update(name.encode())
         digest.update(repr(arr.shape).encode())
         digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def _run(backend: str, cca: str | None, tracer=None):
+    config = RunConfig("stadia", 25e6, 2.0, cca=cca, seed=0, timeline=SMOKE)
+    with mock.patch.dict(os.environ, {"REPRO_SCHEDULER": backend}):
+        return run_single(config, tracer=tracer)
+
+
+@functools.lru_cache(maxsize=None)
+def _measure(backend: str, cca: str | None):
+    """One observed run, reduced to hashes (shared by the tests below)."""
+    sink = MemorySink()
+    result = _run(backend, cca, Tracer(sink))
+
     trace = hashlib.sha256()
+    trace_sans_events = hashlib.sha256()
+    monotone = True
+    last_t = 0.0
     for record in sink.records:
         trace.update(json.dumps(record, sort_keys=True, default=str).encode())
+        if record["ev"] == "run.end":
+            record = {k: v for k, v in record.items() if k != "events"}
+        trace_sans_events.update(
+            json.dumps(record, sort_keys=True, default=str).encode()
+        )
+        monotone = monotone and record["t"] >= last_t
+        last_t = record["t"]
 
     (run_end,) = [r for r in sink.records if r["ev"] == "run.end"]
     return {
-        "result_sha256": digest.hexdigest(),
+        "result_sha256": _result_sha256(result),
         "trace_sha256": trace.hexdigest(),
+        "trace_sans_events_sha256": trace_sans_events.hexdigest(),
+        "trace_monotone": monotone,
         "trace_records": len(sink.records),
         "events_processed": run_end["events"],
     }
 
 
 @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
-def test_wheel_and_heap_are_byte_identical(scenario, monkeypatch):
-    heap = _measure("heap", _SCENARIOS[scenario], monkeypatch)
-    wheel = _measure("wheel", _SCENARIOS[scenario], monkeypatch)
+def test_wheel_and_heap_are_byte_identical(scenario):
+    heap = _measure("heap", _SCENARIOS[scenario])
+    wheel = _measure("wheel", _SCENARIOS[scenario])
     assert heap["events_processed"] > 0
     assert heap["trace_records"] > 0
     assert wheel == heap
+
+
+@pytest.mark.parametrize("backend", ["heap", "wheel"])
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_observed_and_unobserved_runs_agree(scenario, backend):
+    observed = _measure(backend, _SCENARIOS[scenario])
+    unobserved = _run(backend, _SCENARIOS[scenario])
+    assert _result_sha256(unobserved) == observed["result_sha256"]
+    assert observed["trace_monotone"]
+    assert observed["trace_sans_events_sha256"] == _PARENT_TRACE_SHA256[scenario]

@@ -76,9 +76,9 @@ class TestDropTailQueue:
         sim = Simulator()
         dropped = []
         q = DropTailQueue(sim, limit_bytes=2500, on_drop=dropped.append)
-        assert q.enqueue(mk_pkt(0)) is True
-        assert q.enqueue(mk_pkt(1)) is True
-        assert q.enqueue(mk_pkt(2)) is False  # 3000 > 2500
+        assert q.enqueue(mk_pkt(0), sim.now) is True
+        assert q.enqueue(mk_pkt(1), sim.now) is True
+        assert q.enqueue(mk_pkt(2), sim.now) is False  # 3000 > 2500
         assert q.drops == 1
         assert [p.seq for p in dropped] == [2]
 
@@ -86,15 +86,15 @@ class TestDropTailQueue:
         sim = Simulator()
         q = DropTailQueue(sim, limit_bytes=10_000)
         for i in range(5):
-            q.enqueue(mk_pkt(i))
+            q.enqueue(mk_pkt(i), sim.now)
         assert [q.pop().seq for _ in range(5)] == list(range(5))
         assert q.pop() is None
 
     def test_byte_accounting(self):
         sim = Simulator()
         q = DropTailQueue(sim, limit_bytes=10_000)
-        q.enqueue(mk_pkt(0, size=400))
-        q.enqueue(mk_pkt(1, size=600))
+        q.enqueue(mk_pkt(0, size=400), sim.now)
+        q.enqueue(mk_pkt(1, size=600), sim.now)
         assert q.bytes == 1000
         q.pop()
         assert q.bytes == 600
@@ -105,7 +105,7 @@ class TestDropTailQueue:
         sim = Simulator()
         q = DropTailQueue(sim, limit_bytes=10_000)
         for i in range(5):
-            q.enqueue(mk_pkt(i, size=1000))
+            q.enqueue(mk_pkt(i, size=1000), sim.now)
         for _ in range(5):
             q.pop()
         assert q.peak_bytes == 5000
@@ -113,10 +113,10 @@ class TestDropTailQueue:
     def test_space_freed_by_pop_allows_enqueue(self):
         sim = Simulator()
         q = DropTailQueue(sim, limit_bytes=1000)
-        assert q.enqueue(mk_pkt(0, size=1000))
-        assert not q.enqueue(mk_pkt(1, size=1000))
+        assert q.enqueue(mk_pkt(0, size=1000), sim.now)
+        assert not q.enqueue(mk_pkt(1, size=1000), sim.now)
         q.pop()
-        assert q.enqueue(mk_pkt(2, size=1000))
+        assert q.enqueue(mk_pkt(2, size=1000), sim.now)
 
     def test_invalid_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestUnboundedQueue:
         sim = Simulator()
         q = UnboundedQueue(sim)
         for i in range(1000):
-            assert q.enqueue(mk_pkt(i))
+            assert q.enqueue(mk_pkt(i), sim.now)
         assert q.drops == 0
         assert len(q) == 1000
 

@@ -5,17 +5,24 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.flowstats import FlowStats
+from repro.sim.link import Link
+from repro.sim.netem import NetemDelay
 from repro.sim.node import CollectorSink
 from repro.sim.packet import FEEDBACK, MEDIA, Packet
 from repro.streaming.client import FRAME_DEADLINE, GameStreamClient
-from repro.streaming.feedback import FeedbackReport, MediaMeta
+from repro.streaming.feedback import FeedbackReport, FrameMeta
 from repro.streaming.server import GameStreamServer
 from repro.streaming.systems import GEFORCE, LUNA, STADIA
 
 
-def make_server(sim, sink, profile=STADIA, seed=1):
+def make_server(sim, sink, profile=STADIA, seed=1, **kwargs):
+    # The server hands packets over ahead of their send time, so its
+    # path is a delay stage; a zero-delay one releases each packet to
+    # ``sink`` at exactly ``sent_at``.
     return GameStreamServer(
-        sim, profile.name, profile, path=sink, rng=np.random.default_rng(seed)
+        sim, profile.name, profile, path=NetemDelay(sim, 0.0, sink),
+        rng=np.random.default_rng(seed), **kwargs,
     )
 
 
@@ -60,11 +67,15 @@ class TestServer:
         sim.run(until=0.5)
         by_frame = {}
         for p in sink.packets:
-            by_frame.setdefault(p.meta.frame_id, []).append(p.meta)
-        for frame_id, metas in by_frame.items():
-            count = metas[0].count
-            assert len(metas) <= count
-            assert sorted(m.index for m in metas) == list(range(len(metas)))
+            by_frame.setdefault(p.meta.frame_id, []).append(p)
+        for frame_id, pkts in by_frame.items():
+            meta = pkts[0].meta
+            assert all(p.meta is meta for p in pkts)  # one per frame
+            assert len(pkts) <= meta.count
+            indices = sorted(p.seq - meta.first_seq for p in pkts)
+            assert indices == list(range(len(pkts)))
+            if len(pkts) == meta.count:
+                assert sum(p.size for p in pkts) == meta.size
 
     def test_stop_halts_stream(self):
         sim = Simulator()
@@ -76,6 +87,30 @@ class TestServer:
         sent = len(sink.packets)
         sim.run(until=1.0)
         assert len(sink.packets) == sent
+
+    def test_stop_mid_frame_withdraws_paced_packets(self):
+        """Nothing paced for after the stop is sent, on either kind of
+        path (into a link, or through a delay line to any other sink)."""
+        for make_sink in (lambda sim, sink: Link(sim, 1e9, 0.0, sink), lambda sim, sink: sink):
+            sim = Simulator()
+            sink = CollectorSink()
+            stats = FlowStats("stadia")
+            server = make_server(sim, make_sink(sim, sink), stats=stats)
+            server.start()
+            # A frame is paced over most of its 1/60 s tick: stop 4 ms in.
+            stop_at = 30 / 60 + 0.004
+            sim.run(until=stop_at)
+            handed_over = server._seq
+            server.stop()
+            sim.run(until=1.0)
+            assert sink.packets and len(sink.packets) < handed_over
+            assert max(p.sent_at for p in sink.packets) <= stop_at
+            assert [p.seq for p in sink.packets] == list(range(len(sink.packets)))
+            # The counters say what was sent, not what was paced.
+            assert server.packets_sent == len(sink.packets) == stats.packets_sent
+            assert server.bytes_sent == stats.bytes_sent
+            assert server.bytes_sent == sum(p.size for p in sink.packets)
+            assert len(server.path) == 0
 
     def test_sending_rate_tracks_controller_target(self):
         sim = Simulator()
@@ -97,10 +132,19 @@ class TestServer:
         target_seq = sink.packets[3].seq
         report = FeedbackReport(0.0, 0.2, 100, 99, 100_000, 0.0, 0.0, [target_seq])
         server.receive(Packet(server.flow, 0, 80, kind=FEEDBACK, sent_at=0.2, meta=report))
+        original = sink.packets[3]
         sim.run(until=0.4)
-        retx = [p for p in sink.packets if p.meta.retx]
+        # A retransmission is a second packet with an already-sent seq.
+        seen, retx = set(), []
+        for p in sink.packets:
+            if p.seq in seen:
+                retx.append(p)
+            seen.add(p.seq)
         assert len(retx) == 1
         assert retx[0].seq == target_seq
+        assert retx[0].size == original.size
+        assert retx[0].meta is original.meta
+        assert retx[0].sent_at > 0.2
         assert server.retransmitted == 1
 
     def test_nack_for_expired_seq_ignored(self):
@@ -141,9 +185,11 @@ class TestServer:
 
 class TestClient:
     def _media(self, seq, frame_id=0, index=0, count=1, sent_at=0.0, size=1200):
+        # ``index`` is carried by the sequence number: the frame's first
+        # packet has seq - index.
         return Packet(
             "stadia", seq, size, kind=MEDIA, sent_at=sent_at,
-            meta=MediaMeta(frame_id, index, count),
+            meta=FrameMeta(frame_id, seq - index, count),
         )
 
     def test_complete_frame_displayed(self):

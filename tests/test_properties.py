@@ -110,7 +110,7 @@ def test_droptail_never_exceeds_limit_and_conserves_packets(limit, sizes):
     queue = DropTailQueue(sim, limit_bytes=limit)
     accepted = 0
     for i, size in enumerate(sizes):
-        if queue.enqueue(Packet("f", i, size)):
+        if queue.enqueue(Packet("f", i, size), sim.now):
             accepted += 1
         assert queue.bytes <= limit
     popped = 0
@@ -128,7 +128,7 @@ def test_droptail_preserves_fifo_order(sizes):
     sim = Simulator()
     queue = DropTailQueue(sim, limit_bytes=10**9)
     for i, size in enumerate(sizes):
-        queue.enqueue(Packet("f", i, size))
+        queue.enqueue(Packet("f", i, size), sim.now)
     out = []
     while (pkt := queue.pop()) is not None:
         out.append(pkt.seq)
