@@ -3,7 +3,7 @@
 :class:`SimProfiler` hooks the engine's single dispatch path
 (:meth:`repro.sim.engine.Simulator.attach_profiler`) and accounts wall
 time per callback category (the callback's qualified name: one category
-per subsystem method -- ``Link._tx_done``, ``TcpSender._pace_tick``,
+per subsystem method -- ``Link._tx_done``, ``DeadlineTimer._fire``,
 ``GameStreamServer._frame_tick``, ...), plus events/second and the peak
 event-heap depth.  Attach it only when profiling: the engine's
 unprofiled path has no timing calls at all.

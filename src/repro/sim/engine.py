@@ -51,12 +51,12 @@ class Event:
     """A scheduled callback.
 
     Events are returned by :meth:`Simulator.schedule` so callers can
-    :meth:`cancel` them (used for retransmission timers, pacing timers,
-    and the like).  A cancelled event stays in the heap but is skipped
-    when popped; this is O(1) and avoids heap surgery.  The engine
-    counts tombstones and compacts the heap when they dominate, so a
-    run that cancels millions of timers (every ACK re-arms the RTO)
-    does not drag a heap of dead entries through every push and pop.
+    :meth:`cancel` them.  A cancelled event stays in the heap but is
+    skipped when popped; this is O(1) and avoids heap surgery.  The
+    engine counts tombstones and compacts the heap when they dominate.
+    Nothing on the packet path cancels: the TCP sender's RTO and pacer
+    are deadline timers (:class:`~repro.tcp.base.DeadlineTimer`), which
+    cancel only when a deadline moves earlier (about once a flow).
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
@@ -220,9 +220,9 @@ class Simulator:
         """Called by :meth:`Event.cancel` for events still queued.
 
         When tombstones outnumber live events (and exceed a fixed
-        floor), the backlog is rebuilt without them: timer-heavy senders
-        cancel and re-arm the RTO on every ACK, and without compaction
-        those dead entries inflate every subsequent push and pop.
+        floor), the backlog is rebuilt without them, so a caller that
+        cancels and re-arms a timer per event cannot inflate every later
+        push and pop (the simulator's own components do not).
         """
         self._cancelled += 1
         if self._cancelled >= self.COMPACT_MIN_CANCELLED:

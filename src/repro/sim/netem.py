@@ -111,6 +111,9 @@ class NetemDelay:
         for entry in self._entries():
             if entry[2].sent_at > after:
                 self._waiting.remove(entry)
+        # Clamp what comes next to what the stage still holds, not to a
+        # packet it gave back.
+        self._last_release = max((e[0] for e in self._entries()), default=self.sim.now)
         if self._link is not None:
             heapify(self._waiting)
 

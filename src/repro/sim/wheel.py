@@ -5,7 +5,7 @@ The simulation's event population is bimodal: packet events
 within one RTT of ``now``, while a thin tail of RTO and session timers
 sits hundreds of milliseconds to seconds out.  A single binary heap
 pays O(log n) comparisons for every member of that tail twice -- once
-on push and once on pop -- and TCP's cancel/re-arm churn additionally
+on push and once on pop -- and a timer that is cancelled and re-armed
 fills it with tombstones that every later operation wades through.
 
 The hybrid keeps each population where it is cheapest:
@@ -19,9 +19,8 @@ The hybrid keeps each population where it is cheapest:
   absorbs far timers with a plain ``list.append`` -- O(1), no
   comparisons.  Slot index is ``int(time * 1024.0)``; the scale is a
   power of two, so the float multiply is exact and the bucket function
-  is a true monotone floor.  An RTO timer that is cancelled before its
-  slot opens (the overwhelming majority) is dropped at cascade time
-  without ever touching the heap.
+  is a true monotone floor.  A timer that is cancelled before its
+  slot opens is dropped at cascade time without ever touching the heap.
 * An **occupancy heap** of absolute slot indices records which buckets
   hold entries, so finding the next busy slot is a heap-pop, not a scan
   over empty buckets.

@@ -31,7 +31,7 @@ from repro.sim.packet import ACK, DATA, Packet, PacketPool
 from repro.tcp.receiver import AckInfo
 from repro.tcp.rtt import RttEstimator
 
-__all__ = ["TcpSender", "CongestionControl", "RateSample", "SEGMENT_SIZE"]
+__all__ = ["TcpSender", "CongestionControl", "DeadlineTimer", "RateSample", "SEGMENT_SIZE"]
 
 #: Wire size of a full data segment in bytes (1448 MSS + headers).
 SEGMENT_SIZE = 1500
@@ -45,7 +45,12 @@ _RETX_META = {"retx": True}
 
 
 class RateSample:
-    """Delivery-rate sample computed on each ACK (tcp_rate_gen analogue)."""
+    """Delivery-rate sample computed on each ACK (tcp_rate_gen analogue).
+
+    A sender fills one instance in place on every delivering ACK, so a
+    congestion control algorithm may read its fields during ``on_ack``
+    but must not keep the object.
+    """
 
     __slots__ = (
         "delivery_rate",
@@ -100,6 +105,67 @@ class CongestionControl:
 
     def on_rto(self, sender: "TcpSender") -> None:
         """Called when the retransmission timer fires."""
+
+
+class DeadlineTimer:
+    """A one-shot timer whose deadline moves without cancelling an event.
+
+    It owns one recycled :class:`~repro.sim.engine.Event`, the way
+    ``Link._tx_event`` and ``DelayLine._timer`` do.  A later deadline
+    only records itself: the queued firing finds ``now < deadline`` and
+    re-pushes at the deadline.  Only an *earlier* one abandons the
+    queued event (one tombstone).  After :meth:`clear` the queued firing
+    does nothing; a firing at the deadline clears it and calls ``fn``.
+    So the RTO, pushed back by every ACK, costs an entry per elapsed
+    deadline instead of a cancel and a push per ACK.
+    """
+
+    __slots__ = ("sim", "fn", "deadline", "_event", "_queued_at", "_sched_push")
+
+    def __init__(self, sim: Simulator, fn: Callable[[], None]):
+        self.sim = sim
+        self.fn = fn
+        self.deadline: float | None = None
+        self._event = Event(0.0, 0, self._fire, ())
+        self._queued_at: float | None = None  # time of the queued firing
+        self._sched_push = sim._push
+
+    def set(self, t: float) -> None:
+        """Fire ``fn`` at absolute time ``t`` (``>= now``) instead."""
+        self.deadline = t
+        queued = self._queued_at
+        if queued is None:
+            self._push(t)
+        elif t < queued:
+            self._event.cancel()
+            self._event = Event(0.0, 0, self._fire, ())
+            self._push(t)
+
+    def clear(self) -> None:
+        """Drop the deadline; nothing fires until the next :meth:`set`."""
+        self.deadline = None
+
+    def _push(self, t: float) -> None:
+        # sim.rearm, inlined (``_sim``: an abandoning cancel() counts).
+        sim = self.sim
+        seq = sim._seq = sim._seq + 1
+        event = self._event
+        event.time = t
+        event.seq = seq
+        event._sim = sim
+        self._queued_at = t
+        self._sched_push(t, seq, event)
+
+    def _fire(self) -> None:
+        self._queued_at = None
+        deadline = self.deadline
+        if deadline is None:
+            return
+        if self.sim.now < deadline:
+            self._push(deadline)
+            return
+        self.deadline = None
+        self.fn()
 
 
 class _SegState:
@@ -186,12 +252,14 @@ class TcpSender:
         self.delivered_time = 0.0
         self.app_limited = False
 
+        self._sample = RateSample(0.0, None, 0, 0, 0.0, False)  # refilled per ACK
+
         # Recovery / timers.
         self.in_recovery = False
         self.recovery_point = 0
-        self._rto_event: Event | None = None
+        self._rto = DeadlineTimer(sim, self._on_rto)
         self._rto_backoff = 1.0
-        self._pace_event: Event | None = None
+        self._pacer = DeadlineTimer(sim, self._pump)
         self._next_send_time = 0.0
 
         # Lifecycle / stats.
@@ -233,76 +301,56 @@ class TcpSender:
                 flow=self.flow, delivered=self.delivered,
                 retransmits=self.retransmits, loss_events=self.loss_events,
             )
-        self._cancel_rto()
-        if self._pace_event is not None:
-            self._pace_event.cancel()
-            self._pace_event = None
+        self._rto.clear()
+        self._pacer.clear()
 
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    @property
-    def _send_quota(self) -> float:
-        quota = self.cwnd - self.pipe
-        if self.inflight_cap is not None:
-            quota = min(quota, self.inflight_cap - self.pipe)
-        return quota
-
     def _pump(self) -> None:
-        """Send whatever the window (and pacing) allows."""
+        """Send what the window allows: all of it, or one per pace gap."""
         if not self.running:
             return
-        if self.pacing_rate is None:
-            while self._send_quota >= 1.0 and self._transmit_next():
-                pass
-        else:
-            self._paced_pump()
-
-    def _paced_pump(self) -> None:
-        if not self.running or self._send_quota < 1.0:
+        pipe = self.pipe
+        quota = self.cwnd - pipe
+        cap = self.inflight_cap
+        if cap is not None and cap - pipe < quota:
+            quota = cap - pipe
+        if quota < 1.0:
+            return
+        rate = self.pacing_rate
+        if rate is None:
+            # Each send is pipe + 1 and nothing else (the path never
+            # calls back into the sender), so the quota drops by one.
+            while quota >= 1.0:
+                self._send()
+                quota -= 1.0
             return
         now = self.sim.now
-        if now < self._next_send_time:
-            self._arm_pacer(self._next_send_time - now)
+        next_send = self._next_send_time
+        if now < next_send:
+            if self._pacer.deadline != next_send:  # else the last send set it
+                self._pacer.set(next_send)
             return
-        if not self._transmit_next():
-            return
-        gap = self.segment_size / self.pacing_rate
-        base = max(self._next_send_time, now - 4 * gap)  # bounded catch-up burst
-        self._next_send_time = base + gap
-        if self._send_quota >= 1.0:
-            self._arm_pacer(max(0.0, self._next_send_time - now))
-
-    def _arm_pacer(self, delay: float) -> None:
-        if self._pace_event is not None:
-            self._pace_event.cancel()
-        self._pace_event = self.sim.schedule(delay, self._pace_tick)
-
-    def _pace_tick(self) -> None:
-        self._pace_event = None
-        self._paced_pump()
-
-    def _seg_lookup(self, seq: int) -> _SegState | None:
-        """Ledger entry for ``seq``, or None when outside / acked."""
-        idx = seq - self._seg_base
-        segs = self._segs
-        if 0 <= idx < len(segs):
-            return segs[idx]
-        return None
+        self._send()
+        gap = self.segment_size / rate
+        base = now - 4 * gap  # bounded catch-up burst
+        if next_send > base:
+            base = next_send
+        next_send = self._next_send_time = base + gap
+        if quota >= 2.0:  # one segment left after this send
+            self._pacer.set(next_send if next_send > now else now)
 
     def _trim_ledger(self) -> None:
         """Shed the ledger's dead prefix once it dominates.
 
         Cumulative ACKs overwrite consumed entries with None; the list
         itself shrinks only when the dead prefix is both sizeable and
-        the majority, so the O(n) slice amortises to O(1) per segment.
-        Only the None prefix is shed: stale pre-RTO entries below
-        ``snd_una`` (go-back-N resync) stay, exactly as before.
+        the majority (the caller checks), so the O(n) slice amortises to
+        O(1) per segment.  Only the None prefix is shed: stale pre-RTO
+        entries below ``snd_una`` (go-back-N resync) stay.
         """
         segs = self._segs
-        bound = self.snd_una - self._seg_base
-        if bound < 64 or bound * 2 < len(segs):
-            return
         dead = 0
         n = len(segs)
         while dead < n and segs[dead] is None:
@@ -311,53 +359,42 @@ class TcpSender:
             del segs[:dead]
             self._seg_base += dead
 
-    def _transmit_next(self) -> bool:
+    def _send(self) -> None:
         """Send one segment: a queued retransmission, else new data."""
-        while self._retx_queue:
-            seq = self._retx_queue.popleft()
-            seg = self._seg_lookup(seq)
+        now = self.sim.now
+        meta = None
+        segs = self._segs
+        retx_queue = self._retx_queue
+        while retx_queue:
+            seq = retx_queue.popleft()
+            idx = seq - self._seg_base
+            seg = segs[idx] if 0 <= idx < len(segs) else None
             if seg is None or seg.sacked or seq < self.snd_una:
                 continue  # delivered in the meantime
-            self._send_segment(seq, seg, retx=True)
-            return True
-        return self._send_new()
-
-    def _send_new(self) -> bool:
-        # Contiguity invariant: snd_next == _seg_base + len(_segs), so
-        # appending is the ledger entry for exactly this sequence number.
-        seq = self.snd_next
-        seg = _SegState(self.sim.now, self.delivered, self.delivered_time)
-        self._segs.append(seg)
-        self.snd_next += 1
-        self._send_segment(seq, seg, retx=False)
-        return True
-
-    def _send_segment(self, seq: int, seg: _SegState, retx: bool) -> None:
-        now = self.sim.now
-        seg.sent_at = now
-        seg.delivered = self.delivered
-        seg.delivered_time = self.delivered_time
-        if retx:
+            seg.sent_at = now
+            seg.delivered = self.delivered
+            seg.delivered_time = self.delivered_time
             seg.retx += 1
             seg.lost = False
             self.retransmits += 1
-        meta = _RETX_META if retx else None
-        if self.pool is not None:
-            pkt = self.pool.acquire(
-                self.flow, seq, self.segment_size, kind=DATA,
-                sent_at=now, meta=meta,
-            )
+            meta = _RETX_META
+            break
         else:
-            pkt = Packet(
-                self.flow, seq, self.segment_size, kind=DATA,
-                sent_at=now, meta=meta,
-            )
+            # Contiguity invariant: snd_next == _seg_base + len(_segs), so
+            # appending is the ledger entry for exactly this sequence number.
+            seq = self.snd_next
+            segs.append(_SegState(now, self.delivered, self.delivered_time))
+            self.snd_next = seq + 1
+        if self.pool is not None:
+            pkt = self.pool.acquire(self.flow, seq, self.segment_size, DATA, now, meta)
+        else:
+            pkt = Packet(self.flow, seq, self.segment_size, DATA, now, meta)
         self.pipe += 1
         self.segments_sent += 1
         if self.on_send is not None:
             self.on_send(pkt)
         self.path.receive(pkt)
-        if self._rto_event is None:
+        if self._rto.deadline is None:
             self._arm_rto()
 
     # ------------------------------------------------------------------
@@ -369,26 +406,30 @@ class TcpSender:
         if not isinstance(info, AckInfo):
             return
         now = self.sim.now
+        ack = info.ack
         newly_delivered = 0
         rtt_sample: float | None = None
         rate_seg: _SegState | None = None
+        segs = self._segs
+        base = self._seg_base
 
         # SACK the triggering segment.
-        seg = self._seg_lookup(info.sacked_seq)
-        if seg is not None and info.sacked_seq >= info.ack and not seg.sacked:
-            seg.sacked = True
-            if not seg.lost or seg.retx:
-                self.pipe -= 1
-            newly_delivered += 1
-            rate_seg = seg
-            if info.sacked_seq > self._highest_sacked:
-                self._highest_sacked = info.sacked_seq
+        sacked_seq = info.sacked_seq
+        idx = sacked_seq - base
+        if sacked_seq >= ack and 0 <= idx < len(segs):
+            seg = segs[idx]
+            if seg is not None and not seg.sacked:
+                seg.sacked = True
+                if not seg.lost or seg.retx:
+                    self.pipe -= 1
+                newly_delivered += 1
+                rate_seg = seg
+                if sacked_seq > self._highest_sacked:
+                    self._highest_sacked = sacked_seq
 
         # Cumulative advance: O(newly acked), never the whole window.
-        if info.ack > self.snd_una:
-            segs = self._segs
-            base = self._seg_base
-            stop = min(info.ack, base + len(segs))
+        if ack > self.snd_una:
+            stop = min(ack, base + len(segs))
             for idx in range(self.snd_una - base, stop - base):
                 acked_seg = segs[idx]
                 if acked_seg is None:
@@ -399,14 +440,17 @@ class TcpSender:
                         self.pipe -= 1
                     newly_delivered += 1
                     rate_seg = acked_seg
-            self.snd_una = info.ack
-            self._trim_ledger()
+            self.snd_una = ack
+            bound = ack - base
+            if bound >= 64 and bound * 2 >= len(segs):
+                self._trim_ledger()
+            # Restart on forward progress (RFC 6298 5.3), backoff reset.
             self._rto_backoff = 1.0
-            self._arm_rto()  # restart on forward progress (RFC 6298 5.3)
-            if self._hole_scan < self.snd_una:
-                self._hole_scan = self.snd_una
-            if self._highest_sacked < self.snd_una:
-                self._highest_sacked = self.snd_una
+            self._rto.set(now + self.rtt.rto)
+            if self._hole_scan < ack:
+                self._hole_scan = ack
+            if self._highest_sacked < ack:
+                self._highest_sacked = ack
 
         if self.pipe < 0:
             self.pipe = 0
@@ -427,19 +471,22 @@ class TcpSender:
         if self.in_recovery and self.snd_una >= self.recovery_point:
             self.in_recovery = False
             self.cca.on_recovery_exit(self)
-        self._detect_losses()
-        self._check_head_of_line(now)
+        highest_sacked = self._highest_sacked
+        if self._hole_scan < highest_sacked - (_DUP_THRESH - 1):
+            self._detect_losses()
+        if highest_sacked > self.snd_una:
+            self._check_head_of_line(now)
 
-        if newly_delivered and rate_seg is not None:
+        if newly_delivered:
+            # rate_seg is the last segment this ACK delivered.
             interval = max(now - rate_seg.delivered_time, 1e-9)
-            sample = RateSample(
-                delivery_rate=(self.delivered - rate_seg.delivered) / interval,
-                rtt=rtt_sample,
-                delivered=self.delivered,
-                prior_delivered=rate_seg.delivered,
-                interval=interval,
-                is_app_limited=self.app_limited,
-            )
+            sample = self._sample
+            sample.delivery_rate = (self.delivered - rate_seg.delivered) / interval
+            sample.rtt = rtt_sample
+            sample.delivered = self.delivered
+            sample.prior_delivered = rate_seg.delivered
+            sample.interval = interval
+            sample.is_app_limited = self.app_limited
             self.cca.on_ack(self, newly_delivered, sample)
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -451,8 +498,8 @@ class TcpSender:
                 )
 
         if self.pipe == 0 and not self._retx_queue and self.snd_una == self.snd_next:
-            self._cancel_rto()
-        elif self._rto_event is None:
+            self._rto.clear()
+        elif self._rto.deadline is None:
             self._arm_rto()
         self._pump()
         if self.pool is not None and pkt.kind is ACK:
@@ -462,10 +509,9 @@ class TcpSender:
     # Loss detection and recovery
     # ------------------------------------------------------------------
     def _detect_losses(self) -> None:
-        """FACK-style: segments >=3 below the highest SACK are lost."""
+        """FACK-style: segments >=3 below the highest SACK are lost
+        (the caller checks that ``_hole_scan`` is below that limit)."""
         limit = self._highest_sacked - (_DUP_THRESH - 1)
-        if self._hole_scan >= limit:
-            return
         found = False
         segs = self._segs
         base = self._seg_base
@@ -501,12 +547,13 @@ class TcpSender:
         retransmitted, so if the retransmission is dropped the hole at
         ``snd_una`` would otherwise sit until the RTO.  When SACKs keep
         arriving well past one RTT after the retransmission, declare the
-        retransmitted copy lost and send it again.
+        retransmitted copy lost and send it again.  The caller checks
+        that something above ``snd_una`` has been SACKed.
         """
-        seg = self._seg_lookup(self.snd_una)
+        segs = self._segs
+        idx = self.snd_una - self._seg_base
+        seg = segs[idx] if 0 <= idx < len(segs) else None
         if seg is None or not seg.retx or seg.lost or seg.sacked:
-            return
-        if self._highest_sacked <= self.snd_una:
             return
         srtt = self.rtt.srtt or 0.1
         if now - seg.sent_at > 1.5 * srtt:
@@ -520,20 +567,10 @@ class TcpSender:
     # RTO
     # ------------------------------------------------------------------
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        self._rto_event = self.sim.schedule(
-            self.rtt.rto * self._rto_backoff, self._on_rto
-        )
-
-    def _cancel_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        self._rto.set(self.sim.now + self.rtt.rto * self._rto_backoff)
 
     def _on_rto(self) -> None:
         """Timeout: collapse and resynchronise (go-back-N)."""
-        self._rto_event = None
         if not self.running or self.pipe == 0:
             return
         self.rto_events += 1
@@ -557,11 +594,6 @@ class TcpSender:
         self._pump()
 
     # ------------------------------------------------------------------
-    @property
-    def bytes_acked(self) -> int:
-        """Cumulative bytes delivered to the receiver."""
-        return self.delivered
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<TcpSender {self.flow} {self.cca.name} cwnd={self.cwnd:.1f} "

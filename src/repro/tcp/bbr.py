@@ -136,14 +136,30 @@ class BbrCC(CongestionControl):
                 self.min_rtt = sample.rtt
                 self.min_rtt_stamp = now
 
-        self._check_full_bw_reached()
-        self._update_state(sender, now)
-        self._check_probe_rtt(sender, now, filter_expired)
+        if not self.full_bw_reached:
+            self._check_full_bw_reached()
+        if self.state != PROBE_BW:
+            self._update_state(sender, now)
+        # PROBE_BW, the steady state: advance the gain cycle.
+        min_rtt = self.min_rtt
+        if self.state == PROBE_BW and min_rtt is not None:
+            gain = _PROBE_BW_GAINS[self._cycle_index]
+            advance = now - self._cycle_stamp > min_rtt
+            if gain < 1.0 and not advance:
+                # Leave the 0.75 phase early once the excess queue is drained.
+                advance = sender.pipe * sender.segment_size <= self.bdp_bytes()
+            if advance:
+                self._cycle_index = (self._cycle_index + 1) % len(_PROBE_BW_GAINS)
+                self._cycle_stamp = now
+                self.pacing_gain = _PROBE_BW_GAINS[self._cycle_index]
+        if filter_expired or self.state == PROBE_RTT:
+            self._check_probe_rtt(sender, now, filter_expired)
         self._set_pacing_and_cwnd(sender, acked)
 
     # ------------------------------------------------------------------
     def _check_full_bw_reached(self) -> None:
-        if self.full_bw_reached or not self._round_start:
+        """Plateau detection; the caller skips it once reached."""
+        if not self._round_start:
             return
         if self.bw >= self.full_bw * _FULL_BW_THRESH:
             self.full_bw = self.bw
@@ -154,6 +170,7 @@ class BbrCC(CongestionControl):
             self.full_bw_reached = True
 
     def _update_state(self, sender: TcpSender, now: float) -> None:
+        """STARTUP -> DRAIN -> PROBE_BW (``on_ack`` runs the gain cycle)."""
         if self.state == STARTUP and self.full_bw_reached:
             self._transition(sender, DRAIN)
             self.pacing_gain = _DRAIN_GAIN
@@ -161,8 +178,6 @@ class BbrCC(CongestionControl):
         if self.state == DRAIN:
             if sender.pipe * sender.segment_size <= self.bdp_bytes():
                 self._enter_probe_bw(sender, now)
-        if self.state == PROBE_BW:
-            self._advance_cycle(sender, now)
 
     def _enter_probe_bw(self, sender: TcpSender, now: float) -> None:
         self._transition(sender, PROBE_BW)
@@ -170,21 +185,8 @@ class BbrCC(CongestionControl):
         self._cycle_stamp = now
         self.pacing_gain = _PROBE_BW_GAINS[self._cycle_index]
 
-    def _advance_cycle(self, sender: TcpSender, now: float) -> None:
-        if self.min_rtt is None:
-            return
-        elapsed = now - self._cycle_stamp
-        gain = _PROBE_BW_GAINS[self._cycle_index]
-        advance = elapsed > self.min_rtt
-        if gain < 1.0 and not advance:
-            # Leave the 0.75 phase early once the excess queue is drained.
-            advance = sender.pipe * sender.segment_size <= self.bdp_bytes()
-        if advance:
-            self._cycle_index = (self._cycle_index + 1) % len(_PROBE_BW_GAINS)
-            self._cycle_stamp = now
-            self.pacing_gain = _PROBE_BW_GAINS[self._cycle_index]
-
     def _check_probe_rtt(self, sender: TcpSender, now: float, filter_expired: bool) -> None:
+        """Enter or run PROBE_RTT; the caller skips it when neither applies."""
         if self.state != PROBE_RTT:
             if filter_expired:
                 self._transition(sender, PROBE_RTT)
@@ -215,11 +217,13 @@ class BbrCC(CongestionControl):
 
     # ------------------------------------------------------------------
     def _set_pacing_and_cwnd(self, sender: TcpSender, acked: int = 0) -> None:
-        bw = self.bw
-        if bw <= 0 or self.min_rtt is None:
+        bw = self.bw_filter.value
+        min_rtt = self.min_rtt
+        if bw is None or bw <= 0 or min_rtt is None:
             return  # keep initial window until the model has data
         sender.pacing_rate = self.pacing_gain * bw
-        target = max(self.cwnd_gain * self.bdp_bytes() / sender.segment_size, _MIN_CWND)
+        # cwnd_gain * bdp_bytes(), in bdp_bytes()'s evaluation order.
+        target = max(self.cwnd_gain * (bw * min_rtt) / sender.segment_size, _MIN_CWND)
         if self.state == PROBE_RTT:
             sender.cwnd = _MIN_CWND
         elif self._packet_conservation:

@@ -100,9 +100,8 @@ class TestWatch:
             if drainer is not None:
                 drainer()
 
-        # wall stays real: queue lease expiry compares the injected wall
-        # clock against real file mtimes, so a frozen fake would make
-        # backdated leases look perpetually fresh.
+        # wall stays real: the coordinator checks lease deadlines written
+        # by queues the tests open on the real clock (or one set back).
         return Coordinator(
             store, shard_size=1, heartbeat_interval=0.0,
             clock=clock, wall=time.time, sleep=sleep,
@@ -146,15 +145,16 @@ class TestWatch:
         assert record["cache_hits"] == 1
 
     def test_watch_steals_expired_leases(self, store):
-        import os
+        import time
 
         coordinator = self._coordinator(store)
         report = coordinator.enqueue(configs_for(1))
-        queue = ShardQueue.open(queue_root(store, report.campaign_id))
-        shard = queue.claim("dead-worker")
-        path = queue.claimed_dir / f"{shard.id}.json"
-        stat = path.stat()
-        os.utime(path, (stat.st_atime - 300, stat.st_mtime - 300))
+        root = queue_root(store, report.campaign_id)
+        queue = ShardQueue.open(root)
+        # The dead worker claimed an hour ago on its own clock, so the
+        # deadline in its lease sidecar (claim time + TTL) has passed.
+        dead = ShardQueue.open(root, clock=lambda: time.time() - 3600.0)
+        shard = dead.claim("dead-worker")
 
         stolen = {}
 

@@ -1,19 +1,25 @@
-"""Golden determinism: one pinned condition, one committed digest.
+"""Golden determinism: pinned conditions, committed digests.
 
 Performance work on the packet path (delay-line coalescing, express
-queue bypass, the O(1) ACK ledger) is only admissible when it leaves
-the simulation bit-for-bit unchanged.  This test freezes that contract:
-a fixed condition (stadia vs Cubic, 25 Mb/s, 2x BDP, seed 0) must keep
-producing exactly the arrays it produced when the digest below was
+queue bypass, the O(1) ACK ledger, the TCP sender's deadline timers) is
+only admissible when it leaves the simulation bit-for-bit unchanged.
+This test freezes that contract: each pinned condition must keep
+producing exactly the arrays it produced when its digest below was
 recorded.  Any change to traffic dynamics -- intended or not -- shows
 up here before it can silently shift the paper's tables.
+
+Two conditions are pinned because they exercise different halves of the
+TCP sender: stadia vs Cubic (25 Mb/s, 2x BDP) is ACK-clocked and almost
+loss-free, while luna vs BBR (15 Mb/s, 0.5x BDP, Table 5's worst cell)
+paces every segment and spends the run in loss recovery (5,048
+segments, 627 retransmits, 68 loss episodes at this scale).
 
 If a PR *deliberately* changes dynamics (a model fix, a new default),
 re-record with::
 
     PYTHONPATH=src python -c "
     from tests.experiments.test_golden_determinism import _digest, _run
-    print(_digest(_run()))"
+    print(_digest(_run('cubic')), _digest(_run('bbr')))"
 
 and say so in the PR description.
 """
@@ -28,22 +34,26 @@ from repro.experiments.runner import run_single
 
 #: sha256 over the shapes and float64 bytes of the four result arrays.
 GOLDEN_DIGEST = "4c3d8d3222cd6a566bb3e22545e84e3def3bce598cf0294a6571735325165397"
+BBR_GOLDEN_DIGEST = "c7c0cccd5a73fe9e7a9bd13313e6f246f586a558defeee6f2ffba0822c6f1bcc"
 
-#: The pinned condition: one paper cell at 1/36 of the paper timeline.
-_CONFIG = dict(
-    system="stadia",
-    capacity_bps=25e6,
-    queue_mult=2.0,
-    cca="cubic",
-    seed=0,
-)
+#: The pinned conditions: paper cells at 1/36 of the paper timeline.
+_CONDITIONS = {
+    "cubic": dict(
+        system="stadia", capacity_bps=25e6, queue_mult=2.0, cca="cubic", seed=0,
+    ),
+    "bbr": dict(
+        system="luna", capacity_bps=15e6, queue_mult=0.5, cca="bbr", seed=0,
+    ),
+}
+_DIGESTS = {"cubic": GOLDEN_DIGEST, "bbr": BBR_GOLDEN_DIGEST}
+_CONFIG = _CONDITIONS["cubic"]
 _SCALE = 1.0 / 36.0
 
 _HASHED_ARRAYS = ("times", "game_bps", "iperf_bps", "rtt_samples")
 
 
-def _run():
-    config = RunConfig(timeline=Timeline(scale=_SCALE), **_CONFIG)
+def _run(condition: str = "cubic"):
+    config = RunConfig(timeline=Timeline(scale=_SCALE), **_CONDITIONS[condition])
     return run_single(config)
 
 
@@ -59,18 +69,24 @@ def _digest(result) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("backend", ["wheel", "heap"])
-def test_pinned_condition_matches_committed_digest(backend, monkeypatch):
+# Bare backend ids for the Cubic pin keep its test ids stable.
+@pytest.mark.parametrize("condition,backend", [
+    pytest.param("cubic", "wheel", id="wheel"),
+    pytest.param("cubic", "heap", id="heap"),
+    pytest.param("bbr", "wheel", id="bbr-wheel"),
+    pytest.param("bbr", "heap", id="bbr-heap"),
+])
+def test_pinned_condition_matches_committed_digest(condition, backend, monkeypatch):
     # Both scheduler backends must reproduce the same pinned digest:
     # the timing wheel is only admissible because this holds.
     monkeypatch.setenv("REPRO_SCHEDULER", backend)
-    result = _run()
+    result = _run(condition)
     # Guard against vacuous passes: the run must actually produce data.
     assert result.times.size > 0
     assert result.rtt_samples.size > 0
     assert float(result.game_bps.max()) > 0
     assert float(result.iperf_bps.max()) > 0
-    assert _digest(result) == GOLDEN_DIGEST
+    assert _digest(result) == _DIGESTS[condition]
 
 
 def test_digest_is_reproducible_within_process():

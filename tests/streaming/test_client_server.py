@@ -112,6 +112,40 @@ class TestServer:
             assert server.bytes_sent == sum(p.size for p in sink.packets)
             assert len(server.path) == 0
 
+    def test_restart_after_stop_is_not_clamped_to_withdrawn_packets(self):
+        """Stop mid-frame and start again in the same instant: the first
+        new packet leaves the delay stage at ``now + delay``, not behind
+        the release time of a packet the stop withdrew."""
+        delay = 0.005
+
+        class _Arrivals:
+            def __init__(self, sim):
+                self.sim = sim
+                self.log = []
+
+            def receive(self, pkt):
+                self.log.append((self.sim.now, pkt))
+
+        for via_link in (True, False):
+            sim = Simulator()
+            sink = _Arrivals(sim)
+            # 1 Tb/s: serialisation adds ~10 ns, far below the clamp
+            # error (the rest of the withdrawn frame's pacing, ~14 ms).
+            dest = Link(sim, 1e12, 0.0, sink) if via_link else sink
+            server = GameStreamServer(
+                sim, STADIA.name, STADIA, path=NetemDelay(sim, delay, dest),
+                rng=np.random.default_rng(1),
+            )
+            server.start()
+            restart_at = 30 / 60 + 0.004  # a frame is still being paced
+            sim.run(until=restart_at)
+            first_new = server._seq
+            server.stop()
+            server.start()
+            sim.run(until=1.0)
+            (arrived,) = [t for t, p in sink.log if p.seq == first_new]
+            assert arrived == pytest.approx(restart_at + delay, abs=1e-6)
+
     def test_sending_rate_tracks_controller_target(self):
         sim = Simulator()
         sink = CollectorSink()
