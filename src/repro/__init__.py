@@ -13,7 +13,7 @@ scratch:
 - :mod:`repro.streaming` -- a GCC-family adaptive game-streaming stack
   with calibrated per-system profiles.
 - :mod:`repro.testbed` -- the paper's dumbbell testbed: tc-style router
-  configuration, iperf, packet capture, ping, PresentMon.
+  configuration, iperf, packet capture, ping.
 - :mod:`repro.analysis` -- bitrate bands, fairness, adaptiveness, RTT /
   loss / frame-rate tables.
 - :mod:`repro.experiments` -- run configs, the Table 2 grid, striped

@@ -5,8 +5,10 @@
 time per callback category (the callback's qualified name: one category
 per subsystem method -- ``Link._tx_done``, ``DeadlineTimer._fire``,
 ``GameStreamServer._frame_tick``, ...), plus events/second and the peak
-event-heap depth.  Attach it only when profiling: the engine's
-unprofiled path has no timing calls at all.
+event-heap depth.  A component that coalesces its events reports under
+its timer's name: delay-line deliveries, the client's frame deadlines
+among them, are all ``DelayLine._fire``.  Attach it only when
+profiling: the engine's unprofiled path has no timing calls at all.
 
 :func:`campaign_profile` aggregates per-run wall times recorded by the
 runner into a campaign-level summary (total/mean wall time, the slowest

@@ -1,15 +1,16 @@
 """Coalesced FIFO delay lines.
 
-Several stages of the packet path are *provably order-preserving*: a
-netem delay stage clamps each release to the previous one, and a link's
-propagation leg adds a fixed delay to strictly increasing transmission
-completions.  Scheduling one engine event per packet through such a
-stage is wasteful twice over: every packet costs a fresh
-:class:`~repro.sim.engine.Event` allocation, and a bandwidth-delay
-product worth of queued deliveries inflates the live heap that every
-*other* push and pop must sift through.  (A stage that feeds a
-:class:`~repro.sim.link.Link` needs no timer at all: see the link's
-timestamped hand-off.)
+Several stages of a run are *provably order-preserving*: a netem delay
+stage clamps each release to the previous one, a link's propagation leg
+adds a fixed delay to strictly increasing transmission completions, and
+the streaming client gives every frame the same repair deadline from
+the instant its first packet arrives.  Scheduling one engine event per
+item through such a stage is wasteful twice over: every item costs a
+fresh :class:`~repro.sim.engine.Event` allocation, and a
+bandwidth-delay product worth of queued deliveries (or a quarter second
+of open frames) inflates the heap that every *other* push and pop must
+sift through.  (A stage that feeds a :class:`~repro.sim.link.Link`
+needs no timer at all: see the link's timestamped hand-off.)
 
 A :class:`DelayLine` replaces that with an internal
 ``(release, seq, item)`` deque drained by a single self-rearming head
@@ -30,7 +31,8 @@ leapfrog a same-instant foreign event whose reserved slot falls
 between two queued items.
 
 Ordering contract: callers must push items with non-decreasing release
-times (the stages above guarantee this by construction).
+times and never need to cancel one (the stages above guarantee both by
+construction).
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class DelayLine:
         self._q: deque[tuple[float, int, Any]] = deque()
         self._timer = Event(0.0, 0, self._fire, ())
         self._armed = False
-        # The scheduler backend's insertion point, cached at wiring time
-        # (one attribute hop per arm instead of two).
+        # The engine's insertion point, cached at wiring time (one
+        # attribute hop per arm instead of two).
         self._sched_push = sim._push
 
     # Both hot methods below inline the engine's reserve_seq/rearm pair

@@ -1,20 +1,17 @@
 """Discrete-event simulation engine.
 
-A minimal, fast event loop: events are ``(time, sequence, callback)``
-entries in a pending-event store.  The sequence number breaks ties so
-that events scheduled at the same instant fire in FIFO order, which
-keeps packet processing deterministic.
+A minimal, fast event loop: events are ``(time, sequence, Event)``
+entries in one binary heap.  The sequence number breaks ties so that
+events scheduled at the same instant fire in FIFO order, which keeps
+packet processing deterministic.
 
-The store is pluggable behind ``Simulator(scheduler=...)``: the default
-``"wheel"`` backend is the hierarchical timing wheel of
-:mod:`repro.sim.wheel` (O(1) bucket pushes for the packet-horizon
-events that dominate a run), while ``"heap"`` keeps the classic binary
-heap.  Both dispatch in byte-identical ``(time, seq)`` order -- the
-tie-break contract (:meth:`Simulator.reserve_seq`,
-:meth:`Simulator.rearm`, tombstone compaction) is backend-independent,
-and a CI parity job plus a Hypothesis property test keep it that way.
-External hot paths push through ``sim._push(time, seq, event)`` so they
-stay backend-agnostic.
+The heap stays shallow because the components that would fill it keep
+one entry each: order-preserving stages (delay lines, the client's frame
+deadlines) and timers (links, the TCP sender's deadline timers) recycle
+one Event and push it through ``sim._push(time, seq, event)``, cached at
+wiring time.  The tie-break contract (:meth:`Simulator.reserve_seq`,
+:meth:`Simulator.rearm`, tombstone compaction) is what lets them do so
+without changing the dispatch order.
 
 The engine is deliberately free of any networking knowledge; links,
 queues, and protocol endpoints schedule callbacks on it.
@@ -24,18 +21,15 @@ from __future__ import annotations
 
 import gc
 import heapq
-import os
 from math import inf
 from time import perf_counter
 from typing import Any, Callable
 
-from repro.sim.wheel import TimingWheel
-
 __all__ = ["Event", "Simulator", "SimulationError", "DEFAULT_SCHEDULER"]
 
-#: Backend used when neither the ``scheduler`` argument nor the
-#: ``REPRO_SCHEDULER`` environment variable says otherwise.
-DEFAULT_SCHEDULER = "wheel"
+#: Name of the one scheduler (the binary heap), for records that say
+#: which backend produced a run.
+DEFAULT_SCHEDULER = "heap"
 
 # Bound once: the scheduling and dispatch paths run for every event, and
 # a module-level name saves the heapq attribute lookup on each of them.
@@ -51,12 +45,15 @@ class Event:
     """A scheduled callback.
 
     Events are returned by :meth:`Simulator.schedule` so callers can
-    :meth:`cancel` them.  A cancelled event stays in the heap but is
-    skipped when popped; this is O(1) and avoids heap surgery.  The
-    engine counts tombstones and compacts the heap when they dominate.
-    Nothing on the packet path cancels: the TCP sender's RTO and pacer
-    are deadline timers (:class:`~repro.tcp.base.DeadlineTimer`), which
-    cancel only when a deadline moves earlier (about once a flow).
+    :meth:`cancel` them.  A cancelled event stays in the heap as a
+    tombstone and is skipped when popped; this is O(1) and avoids heap
+    surgery.  The engine counts tombstones and compacts the heap when
+    they dominate.  Nothing on the packet path cancels: the TCP sender's
+    RTO and pacer are deadline timers
+    (:class:`~repro.tcp.base.DeadlineTimer`), which cancel only when a
+    deadline moves earlier (about once a flow), and the client's frame
+    deadlines ride a :class:`~repro.sim.delayline.DelayLine`, which
+    never cancels.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
@@ -105,35 +102,17 @@ class Simulator:
     #: worth its O(n) cost, whatever fraction of the backlog they are.
     COMPACT_MIN_CANCELLED = 256
 
-    def __init__(self, scheduler: str | None = None) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", DEFAULT_SCHEDULER)
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._seq: int = 0
         self._events_processed: int = 0
         self._cancelled: int = 0
         self._compactions: int = 0
         self._profiler = None
-        # Entries are (time, seq, Event) tuples in both backends, so
-        # ordering is resolved by C-level float/int comparison without
-        # ever invoking Python code on the Event itself.  ``_push`` is
-        # the backend-agnostic insertion point that delay lines and
-        # links cache at wiring time.
-        if scheduler == "wheel":
-            self._heap: list[tuple[float, int, Event]] | None = None
-            self._wheel: TimingWheel | None = TimingWheel()
-            self._push = self._wheel.push
-            self._dispatch = self._dispatch_wheel
-        elif scheduler == "heap":
-            self._heap = []
-            self._wheel = None
-            self._push = self._heap_push
-            self._dispatch = self._dispatch_heap
-        else:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; options: 'wheel', 'heap'"
-            )
-        self.scheduler = scheduler
+        # Entries are (time, seq, Event) tuples, so ordering is resolved
+        # by C-level float/int comparison without ever invoking Python
+        # code on the Event itself.
+        self._heap: list[tuple[float, int, Event]] = []
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -209,8 +188,12 @@ class Simulator:
         self._push(time, seq, event)
         return event
 
-    def _heap_push(self, time: float, seq: int, event: Event) -> None:
-        """``_push`` implementation for the heap backend."""
+    def _push(self, time: float, seq: int, event: Event) -> None:
+        """Queue ``event`` at ``(time, seq)``: the one insertion point.
+
+        Links, delay lines and deadline timers cache this bound method at
+        wiring time and push their recycled Event through it.
+        """
         _heappush(self._heap, (time, seq, event))
 
     # ------------------------------------------------------------------
@@ -225,31 +208,27 @@ class Simulator:
         push and pop (the simulator's own components do not).
         """
         self._cancelled += 1
-        if self._cancelled >= self.COMPACT_MIN_CANCELLED:
-            heap = self._heap
-            backlog = len(heap) if heap is not None else self._wheel.size
-            if self._cancelled * 2 > backlog:
-                self._compact()
+        if (
+            self._cancelled >= self.COMPACT_MIN_CANCELLED
+            and self._cancelled * 2 > len(self._heap)
+        ):
+            self._compact()
 
     def _compact(self) -> None:
         # In place (``heap[:] =``), so the dispatch loop's heap alias
         # stays valid even when a callback's cancel() triggers
-        # compaction mid-run.  Order is a pure (time, seq) comparison in
-        # both backends, so filtering reproduces the exact same dispatch
-        # order.
+        # compaction mid-run.  Order is a pure (time, seq) comparison,
+        # so filtering reproduces the exact same dispatch order.
         heap = self._heap
-        if heap is not None:
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(heap)
-        else:
-            self._wheel.compact()
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
         self._compactions += 1
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _dispatch_heap(self, until: float, max_events: int) -> int:
+    def _dispatch(self, until: float, max_events: int) -> int:
         """The dispatch loop behind both :meth:`step` and :meth:`run`.
 
         Pops and fires events with ``time <= until``, at most
@@ -257,6 +236,11 @@ class Simulator:
         fired.  Every dispatched event passes the profiler hook here, so
         neither entry point can bypass instrumentation and
         ``events_processed`` stays consistent between them.
+
+        The loop is written ``while True: if heap: ... continue`` and
+        ``break`` rather than ``while heap:`` on purpose: on CPython 3.11
+        that shape dispatched identical heap contents ~25 % faster in a
+        micro-benchmark (docs/PERFORMANCE.md, "One scheduler").
         """
         heap = self._heap
         heappop = _heappop
@@ -264,100 +248,35 @@ class Simulator:
         # lookup is hoisted out of the loop.
         profiler = self._profiler
         dispatched = 0
-        while heap:
-            time = heap[0][0]
-            if time > until:
-                break
-            _, _, event = heappop(heap)
-            if event.cancelled:
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-                continue
-            # A fired event must not count as a tombstone if someone
-            # cancels it afterwards (cancel is documented as idempotent).
-            event._sim = None
-            self.now = time
-            self._events_processed += 1
-            if profiler is None:
-                event.fn(*event.args)
-            else:
-                start = perf_counter()
-                event.fn(*event.args)
-                profiler.on_event(
-                    event, perf_counter() - start, len(heap) - self._cancelled
-                )
-            dispatched += 1
-            if dispatched == max_events:
-                break
-        return dispatched
-
-    def _dispatch_wheel(self, until: float, max_events: int) -> int:
-        """Wheel-backend dispatch: same contract as :meth:`_dispatch_heap`.
-
-        The fast path is the heap loop verbatim, plus one float compare
-        against ``boundary`` -- the start of the earliest occupied wheel
-        or overflow slot.  A heap head strictly below the local boundary
-        is always safe to fire: every near-heap entry is earlier than
-        ``(cur + near) * slot_s`` and any push that lowers the wheel's
-        boundary files at or beyond that mark, so a stale local copy can
-        only be wrong in the harmless direction (too low -> one wasted
-        refresh).  The slow path re-reads the wheel's boundary -- a
-        callback's far push could otherwise break the loop early and
-        strand bucketed events -- and only then decides between
-        stopping at ``until`` and cascading the next slot into the heap.
-        """
-        wheel = self._wheel
-        heap = wheel.heap
-        cascade = wheel.cascade_next
-        heappop = _heappop
-        profiler = self._profiler
-        dispatched = 0
-        boundary = wheel.boundary
         while True:
             if heap:
                 time = heap[0][0]
-                if time < boundary:
-                    if time > until:
-                        break
-                    _, _, event = heappop(heap)
-                    if event.cancelled:
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        continue
-                    event._sim = None
-                    self.now = time
-                    self._events_processed += 1
-                    if profiler is None:
-                        event.fn(*event.args)
-                    else:
-                        start = perf_counter()
-                        event.fn(*event.args)
-                        profiler.on_event(
-                            event,
-                            perf_counter() - start,
-                            wheel.size - self._cancelled,
-                        )
-                    dispatched += 1
-                    if dispatched == max_events:
-                        break
+                if time > until:
+                    break
+                _, _, event = heappop(heap)
+                if event.cancelled:
+                    if self._cancelled > 0:
+                        self._cancelled -= 1
                     continue
-            # Slow path: heap empty, or its head is at/past the local
-            # boundary.  Refresh the boundary first -- a callback may
-            # have pushed a far event (lowering it) or cascaded via
-            # compaction (raising it).
-            fresh = wheel.boundary
-            if fresh != boundary:
-                boundary = fresh
+                # A fired event must not count as a tombstone if someone
+                # cancels it afterwards (cancel is documented as
+                # idempotent).
+                event._sim = None
+                self.now = time
+                self._events_processed += 1
+                if profiler is None:
+                    event.fn(*event.args)
+                else:
+                    start = perf_counter()
+                    event.fn(*event.args)
+                    profiler.on_event(
+                        event, perf_counter() - start, len(heap) - self._cancelled
+                    )
+                dispatched += 1
+                if dispatched == max_events:
+                    break
                 continue
-            if boundary > until:
-                break
-            dropped = cascade()
-            if dropped:
-                cancelled = self._cancelled - dropped
-                self._cancelled = cancelled if cancelled > 0 else 0
-            boundary = wheel.boundary
-            if not heap and boundary == inf:
-                break
+            break
         return dispatched
 
     def step(self) -> bool:
@@ -413,14 +332,14 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Entries still queued, cancelled tombstones included.
+        """Heap entries still queued, cancelled tombstones included.
 
-        This is the raw container size (heap length or wheel occupancy);
-        use :attr:`live_pending` for the number of events that will
+        A component that coalesces its events (a delay line, a deadline
+        timer) counts once however many items it holds; use
+        :attr:`live_pending` for the number of entries that will
         actually fire.
         """
-        heap = self._heap
-        return len(heap) if heap is not None else self._wheel.size
+        return len(self._heap)
 
     @property
     def live_pending(self) -> int:

@@ -15,6 +15,7 @@ baseline honest even under a persistent standing queue.
 
 from __future__ import annotations
 
+from repro.sim.delayline import DelayLine
 from repro.sim.engine import Simulator
 from repro.sim.packet import FEEDBACK, MEDIA, Packet
 from repro.streaming.feedback import FeedbackReport
@@ -102,6 +103,10 @@ class GameStreamClient:
         self.feedback_sent = 0
         self._running = False
         self._feedback_event = None
+        # Frame deadlines are never cancelled and release in arrival
+        # order (``now`` is monotone, the delay constant), so they share
+        # one delay line: one scheduler entry, not one per open frame.
+        self._deadlines = DelayLine(sim, self._frame_deadline)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -164,7 +169,7 @@ class GameStreamClient:
                 return  # ancient frame, state already pruned
             frame = _FrameState(meta.count, now)
             self._frames[frame_id] = frame
-            self.sim.schedule(FRAME_DEADLINE, self._frame_deadline, frame_id)
+            self._deadlines.push(now + FRAME_DEADLINE, frame_id)
             self._prune_frames(frame_id)
         if frame.done:
             return

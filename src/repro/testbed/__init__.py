@@ -9,13 +9,11 @@
 - :mod:`repro.testbed.iperf` -- the bulk-download TCP competitor.
 - :mod:`repro.testbed.capture` -- Wireshark-style packet trace records.
 - :mod:`repro.testbed.ping` -- the RTT probe running alongside the game.
-- :mod:`repro.testbed.presentmon` -- client frame-presentation log.
 """
 
 from repro.testbed.capture import PacketCapture, TraceRecord
 from repro.testbed.iperf import IperfFlow
 from repro.testbed.ping import PingProber
-from repro.testbed.presentmon import PresentMonLog
 from repro.testbed.tc import RouterConfig, bdp_bytes, queue_limit_bytes, render_tc_script
 from repro.testbed.topology import GameStreamingTestbed
 
@@ -24,7 +22,6 @@ __all__ = [
     "IperfFlow",
     "PacketCapture",
     "PingProber",
-    "PresentMonLog",
     "RouterConfig",
     "TraceRecord",
     "bdp_bytes",

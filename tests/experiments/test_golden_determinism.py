@@ -69,17 +69,8 @@ def _digest(result) -> str:
     return h.hexdigest()
 
 
-# Bare backend ids for the Cubic pin keep its test ids stable.
-@pytest.mark.parametrize("condition,backend", [
-    pytest.param("cubic", "wheel", id="wheel"),
-    pytest.param("cubic", "heap", id="heap"),
-    pytest.param("bbr", "wheel", id="bbr-wheel"),
-    pytest.param("bbr", "heap", id="bbr-heap"),
-])
-def test_pinned_condition_matches_committed_digest(condition, backend, monkeypatch):
-    # Both scheduler backends must reproduce the same pinned digest:
-    # the timing wheel is only admissible because this holds.
-    monkeypatch.setenv("REPRO_SCHEDULER", backend)
+@pytest.mark.parametrize("condition", sorted(_CONDITIONS))
+def test_pinned_condition_matches_committed_digest(condition):
     result = _run(condition)
     # Guard against vacuous passes: the run must actually produce data.
     assert result.times.size > 0

@@ -63,8 +63,8 @@ def _make_queue(sim, qdisc, limit, on_drop):
     return cls(sim, limit, target=4 * _STEP, interval=32 * _STEP, on_drop=on_drop)
 
 
-def _drive(wiring, scheduler, qdisc, limit, delays, sends, checkpoint):
-    sim = Simulator(scheduler=scheduler)
+def _drive(wiring, qdisc, limit, delays, sends, checkpoint):
+    sim = Simulator()
     delivered, dropped = [], []
 
     class _Sink:
@@ -116,7 +116,6 @@ _SENDS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    scheduler=st.sampled_from(["wheel", "heap"]),
     qdisc=st.sampled_from(["droptail", "codel", "fq_codel"]),
     limit=st.sampled_from([1536, 3072, 6144]),
     delays=st.tuples(*[st.sampled_from([0, 1, 2, 4, 8])] * 3),
@@ -124,9 +123,9 @@ _SENDS = st.lists(
     checkpoint=st.integers(0, 300),
 )
 def test_lazy_admission_equals_one_event_per_arrival(
-    scheduler, qdisc, limit, delays, sends, checkpoint
+    qdisc, limit, delays, sends, checkpoint
 ):
-    args = (scheduler, qdisc, limit, delays, sends, checkpoint)
+    args = (qdisc, limit, delays, sends, checkpoint)
     reference = _drive("per-event", *args)
     assert reference[0] or reference[1]  # every schedule moves packets
     assert _drive("observed", *args) == reference
@@ -137,7 +136,7 @@ def test_schedules_do_hit_exact_ties():
     """The grid really produces the ties the property is about."""
     sends = [(0, 0, 0, 1024), (1, 0, 2, 512), (2, 1, 1, 512), (0, 1, 0, 1536)]
     delivered, dropped, _, end = _drive(
-        "lazy", "wheel", "droptail", 6144, (0, 0, 0), sends, 0
+        "lazy", "droptail", 6144, (0, 0, 0), sends, 0
     )
     assert not dropped and end[0] == 4
     # f1#1 and f2#2 both arrive at step 2, the instant f0#0 completes.

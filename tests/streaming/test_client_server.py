@@ -305,6 +305,27 @@ class TestClient:
         assert client.frames_dropped == 1
         assert client.frames_displayed == 0
 
+    def test_frame_deadlines_hold_one_scheduler_entry(self):
+        """k frames awaiting their deadline add one queued entry, not k,
+        and each still drops at its own deadline."""
+        sim = Simulator()
+        client = make_client(sim, CollectorSink())
+        client.start()
+        idle = sim.pending  # the feedback timer
+        k = 12
+        opened = [i * 0.01 for i in range(k)]
+        for frame_id, t in enumerate(opened):
+            pkt = self._media(frame_id, frame_id=frame_id, count=2)
+            sim.schedule_at(t, client.receive, pkt)
+        sim.run(until=opened[-1])
+        assert client.frames_dropped == 0
+        assert sim.pending == idle + 1
+        for dropped, t in enumerate(opened, start=1):
+            sim.run(until=t + FRAME_DEADLINE)
+            assert client.frames_dropped == dropped
+        assert sim.pending == idle
+        assert client.frames_displayed == 0
+
     def test_qdelay_measured_above_baseline(self):
         sim = Simulator()
         feedback = CollectorSink()

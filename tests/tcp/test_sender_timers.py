@@ -74,11 +74,8 @@ class TestDeadlineTimer:
 
 
 class TestSenderRto:
-    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-    def test_rto_pushed_back_by_1000_acks_fires_once_at_the_last_deadline(
-        self, scheduler
-    ):
-        sim = Simulator(scheduler=scheduler)
+    def test_rto_pushed_back_by_1000_acks_fires_once_at_the_last_deadline(self):
+        sim = Simulator()
         sink = CollectorSink()
         # A 1 s RTO floor keeps the timeout constant, so every ACK moves
         # the deadline later and none abandons the queued entry.

@@ -1,6 +1,9 @@
-"""Unit tests for capture, ping, and PresentMon components."""
+"""Unit tests for the capture and ping components.
 
-import numpy as np
+(Frame presentation is the client's own log: see
+``GameStreamClient.display_times`` in tests/streaming.)
+"""
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -8,7 +11,6 @@ from repro.sim.netem import NetemDelay
 from repro.sim.packet import MEDIA, PING, Packet
 from repro.testbed.capture import PacketCapture
 from repro.testbed.ping import PingProber, PingReflector
-from repro.testbed.presentmon import PresentMonLog
 
 
 class TestPacketCapture:
@@ -109,31 +111,3 @@ class TestPing:
         with pytest.raises(ValueError):
             PingProber(Simulator(), "ping", None, interval=0)
 
-
-class TestPresentMon:
-    def test_mean_fps(self):
-        times = list(np.arange(0.0, 10.0, 1 / 60))
-        log = PresentMonLog(times)
-        assert log.mean_fps(0.0, 10.0) == pytest.approx(60.0)
-
-    def test_windowing(self):
-        times = list(np.arange(0.0, 5.0, 1 / 30)) + list(np.arange(5.0, 10.0, 1 / 60))
-        log = PresentMonLog(times)
-        assert log.mean_fps(0.0, 5.0) == pytest.approx(30.0)
-        assert log.mean_fps(5.0, 10.0) == pytest.approx(60.0)
-
-    def test_empty_log(self):
-        assert PresentMonLog([]).mean_fps(0.0, 1.0) == 0.0
-
-    def test_fps_series(self):
-        times = list(np.arange(0.0, 4.0, 1 / 50))
-        centres, fps = PresentMonLog(times).fps_series(0.0, 4.0, bin_width=1.0)
-        assert len(centres) == 4
-        assert fps == pytest.approx([50, 50, 50, 50])
-
-    def test_invalid_args(self):
-        log = PresentMonLog([1.0])
-        with pytest.raises(ValueError):
-            log.mean_fps(2.0, 1.0)
-        with pytest.raises(ValueError):
-            log.fps_series(0.0, 1.0, bin_width=0)
