@@ -3,7 +3,10 @@
 Every benchmark regenerates one of the paper's tables or figures.  The
 expensive part -- the measurement campaign itself -- runs once per
 pytest session in these fixtures and is shared by all artefact
-benchmarks; the ``benchmark(...)`` calls then time the analysis step.
+benchmarks, which receive the campaign's ``RunResult`` list; the
+``benchmark(...)`` calls then time the analysis step, which folds the
+results through :func:`repro.report.aggregate` -- the same per-condition
+numbers ``repro-gsnet report`` prints.
 
 Environment knobs:
 
@@ -23,7 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import Campaign, PAPER, QUICK, RunConfig, SMOKE, striped_order
+from repro.experiments import (
+    Campaign, PAPER, QUICK, RunConfig, RunResult, SMOKE, striped_order,
+)
 from repro.experiments.conditions import CAPACITIES, QUEUE_MULTS, SYSTEM_NAMES
 
 _PROFILES = {"paper": PAPER, "quick": QUICK, "smoke": SMOKE}
@@ -50,15 +55,18 @@ def timeline():
     return TIMELINE
 
 
+def _run(configs: list[RunConfig]) -> list[RunResult]:
+    return Campaign(workers=WORKERS).run(configs).report.results
+
+
 @pytest.fixture(scope="session")
-def contended_campaign() -> Campaign:
+def contended_results() -> list[RunResult]:
     """The full Table 2 grid: 2 CCAs x 3 capacities x 3 queues x 3 systems."""
-    configs = list(striped_order(ITERATIONS, timeline=TIMELINE))
-    return Campaign(workers=WORKERS).run(configs)
+    return _run(list(striped_order(ITERATIONS, timeline=TIMELINE)))
 
 
 @pytest.fixture(scope="session")
-def solo_campaign() -> Campaign:
+def solo_results() -> list[RunResult]:
     """Solo runs over the capacity/queue grid (Tables 3 and the loss rows)."""
     configs = [
         RunConfig(
@@ -74,11 +82,11 @@ def solo_campaign() -> Campaign:
         for queue in QUEUE_MULTS
         for system in SYSTEM_NAMES
     ]
-    return Campaign(workers=WORKERS).run(configs)
+    return _run(configs)
 
 
 @pytest.fixture(scope="session")
-def baseline_campaign() -> Campaign:
+def baseline_results() -> list[RunResult]:
     """Unconstrained solo runs (Table 1)."""
     configs = [
         RunConfig(
@@ -92,4 +100,4 @@ def baseline_campaign() -> Campaign:
         for i in range(max(ITERATIONS, 3))
         for system in SYSTEM_NAMES
     ]
-    return Campaign(workers=WORKERS).run(configs)
+    return _run(configs)

@@ -12,20 +12,23 @@ from benchmarks.conftest import write_artifact
 from repro.analysis.fairness import harm
 from repro.analysis.render import render_table
 from repro.experiments.conditions import QUEUE_MULTS, SYSTEM_NAMES
+from repro.report import aggregate_results
 
 _CAPACITY = 25e6
 
 
 def _build(contended, solo):
+    baselines = aggregate_results(solo, keep_bands=False)
     cells = {}
     for system in SYSTEM_NAMES:
         for queue in QUEUE_MULTS:
-            solo_bps, _ = solo.get(system, None, _CAPACITY, queue).baseline_bitrate()
+            solo_bps = baselines.get(system, None, _CAPACITY, queue).baseline_bps.mean
             for cca in ("cubic", "bbr"):
-                condition = contended.get(system, cca, _CAPACITY, queue)
-                contested = float(
-                    np.mean([r.fairness_game_bps for r in condition.runs])
-                )
+                contested = float(np.mean([
+                    r.fairness_game_bps for r in contended
+                    if (r.system, r.cca, r.capacity_bps, r.queue_mult)
+                    == (system, cca, _CAPACITY, queue)
+                ]))
                 cells[(system, f"{queue:g}x {cca}")] = (
                     harm(solo_bps, contested),
                     0.0,
@@ -33,8 +36,8 @@ def _build(contended, solo):
     return cells
 
 
-def test_harm_ablation(benchmark, contended_campaign, solo_campaign):
-    cells = benchmark(_build, contended_campaign, solo_campaign)
+def test_harm_ablation(benchmark, contended_results, solo_results):
+    cells = benchmark(_build, contended_results, solo_results)
     cols = [
         f"{q:g}x {cca}" for q in sorted(QUEUE_MULTS) for cca in ("cubic", "bbr")
     ]

@@ -16,26 +16,29 @@ import numpy as np
 from benchmarks.conftest import FIGURE2_CAPACITY, write_artifact
 from repro.analysis.render import render_series
 from repro.experiments.conditions import CCAS, QUEUE_MULTS, SYSTEM_NAMES
+from repro.report import aggregate_results
 
 
-def _panel(campaign, system, cca):
+def _panel(report, system, cca):
     """Collect one panel: a band per queue size."""
     return {
-        f"{queue:g}x BDP": campaign.get(system, cca, FIGURE2_CAPACITY, queue).game_band()
+        f"{queue:g}x BDP":
+            report.get(system, cca, FIGURE2_CAPACITY, queue).game_band.band()
         for queue in sorted(QUEUE_MULTS)
     }
 
 
-def _build_figure(campaign):
+def _build_figure(results):
+    report = aggregate_results(results)
     return {
-        (system, cca): _panel(campaign, system, cca)
+        (system, cca): _panel(report, system, cca)
         for cca in CCAS
         for system in SYSTEM_NAMES
     }
 
 
-def test_figure2(benchmark, contended_campaign, timeline):
-    panels = benchmark(_build_figure, contended_campaign)
+def test_figure2(benchmark, contended_results, timeline):
+    panels = benchmark(_build_figure, contended_results)
 
     blocks = []
     for (system, cca), bands in panels.items():

@@ -18,28 +18,30 @@ import numpy as np
 from benchmarks.conftest import write_artifact
 from repro.analysis.render import render_heatmap
 from repro.experiments.conditions import CAPACITIES, CCAS, QUEUE_MULTS, SYSTEM_NAMES
+from repro.report import aggregate_results
 
 _ROWS = [f"{c / 1e6:.0f} Mb/s" for c in CAPACITIES]
 _COLS = [f"{q:g}x" for q in sorted(QUEUE_MULTS)]
 
 
-def _build_heatmaps(campaign):
+def _build_heatmaps(results):
+    report = aggregate_results(results, keep_bands=False)
     grids = {}
     for cca in CCAS:
         for system in SYSTEM_NAMES:
             cells = {}
             for capacity in CAPACITIES:
                 for queue in QUEUE_MULTS:
-                    condition = campaign.get(system, cca, capacity, queue)
+                    condition = report.get(system, cca, capacity, queue)
                     cells[(f"{capacity / 1e6:.0f} Mb/s", f"{queue:g}x")] = (
-                        condition.fairness()
+                        condition.fairness.mean
                     )
             grids[(system, cca)] = cells
     return grids
 
 
-def test_figure3(benchmark, contended_campaign):
-    grids = benchmark(_build_heatmaps, contended_campaign)
+def test_figure3(benchmark, contended_results):
+    grids = benchmark(_build_heatmaps, contended_results)
 
     blocks = [
         render_heatmap(

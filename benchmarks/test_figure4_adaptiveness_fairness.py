@@ -16,42 +16,28 @@ Acceptance criteria (paper Section 4.2):
 import numpy as np
 
 from benchmarks.conftest import write_artifact
-from repro.analysis.adaptiveness import AdaptivenessPoint, adaptiveness
 from repro.analysis.render import render_scatter
 from repro.experiments.conditions import CAPACITIES, CCAS, QUEUE_MULTS, SYSTEM_NAMES
+from repro.report import aggregate_results
 
 
-def _build_points(campaign, timeline):
-    raw = []
-    for cca in CCAS:
-        for system in SYSTEM_NAMES:
-            for capacity in CAPACITIES:
-                for queue in QUEUE_MULTS:
-                    condition = campaign.get(system, cca, capacity, queue)
-                    response, recovery = condition.response_recovery(timeline)
-                    raw.append(
-                        (system, cca, capacity, queue, condition.fairness(),
-                         response, recovery)
-                    )
-    c_max = max(r[5] for r in raw) or 1.0
-    e_max = max(r[6] for r in raw) or 1.0
+def _build_points(results):
+    """The report's points, listed in the paper's loop order."""
+    points = {
+        (p.system, p.cca, p.capacity_bps, p.queue_mult): p
+        for p in aggregate_results(results, keep_bands=False).adaptiveness_points()
+    }
     return [
-        AdaptivenessPoint(
-            system=system,
-            cca=cca,
-            capacity_bps=capacity,
-            queue_mult=queue,
-            fairness=fair,
-            response=response,
-            recovery=recovery,
-            adaptiveness=adaptiveness(response, recovery, c_max, e_max),
-        )
-        for system, cca, capacity, queue, fair, response, recovery in raw
+        points[(system, cca, capacity, queue)]
+        for cca in CCAS
+        for system in SYSTEM_NAMES
+        for capacity in CAPACITIES
+        for queue in QUEUE_MULTS
     ]
 
 
-def test_figure4(benchmark, contended_campaign, timeline):
-    points = benchmark(_build_points, contended_campaign, timeline)
+def test_figure4(benchmark, contended_results):
+    points = benchmark(_build_points, contended_results)
 
     blocks = []
     for cca in CCAS:

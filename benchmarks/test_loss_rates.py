@@ -10,9 +10,12 @@ import numpy as np
 from benchmarks.conftest import write_artifact
 from repro.analysis.render import render_table
 from repro.experiments.conditions import CAPACITIES, CCAS, QUEUE_MULTS, SYSTEM_NAMES
+from repro.report import aggregate_results
 
 
-def _build_tables(contended, solo):
+def _build_tables(contended_results, solo_results):
+    contended = aggregate_results(contended_results, keep_bands=False)
+    solo = aggregate_results(solo_results, keep_bands=False)
     competing = {}
     alone = {}
     for capacity in CAPACITIES:
@@ -21,16 +24,16 @@ def _build_tables(contended, solo):
             for system in SYSTEM_NAMES:
                 alone[(row, f"{system[:4]} {queue:g}x")] = solo.get(
                     system, None, capacity, queue
-                ).loss_cell()
+                ).loss_rate.mean_std()
                 for cca in CCAS:
                     competing[(row, f"{system[:4]} {queue:g}x {cca}")] = contended.get(
                         system, cca, capacity, queue
-                    ).loss_cell()
+                    ).loss_rate.mean_std()
     return alone, competing
 
 
-def test_loss_rates(benchmark, contended_campaign, solo_campaign):
-    alone, competing = benchmark(_build_tables, contended_campaign, solo_campaign)
+def test_loss_rates(benchmark, contended_results, solo_results):
+    alone, competing = benchmark(_build_tables, contended_results, solo_results)
 
     rows = [f"{c / 1e6:.0f} Mb/s" for c in sorted(CAPACITIES)]
     solo_cols = [

@@ -8,21 +8,22 @@ rates in the right neighbourhood; Luna has the smallest variability.
 from benchmarks.conftest import write_artifact
 from repro.analysis.render import render_table
 from repro.experiments.conditions import SYSTEM_NAMES
+from repro.report import aggregate_results
 
 PAPER_VALUES = {"stadia": 27.5, "geforce": 24.5, "luna": 23.7}
 
 
-def _build_table(baseline_campaign):
+def _build_table(baseline_results):
+    report = aggregate_results(baseline_results, keep_bands=False)
     cells = {}
     for system in SYSTEM_NAMES:
-        condition = baseline_campaign.get(system, None, 1e9, 2.0)
-        mean, std = condition.baseline_bitrate()
+        mean, std = report.get(system, None, 1e9, 2.0).baseline_bps.mean_std()
         cells[(system, "Bitrate (Mb/s)")] = (mean / 1e6, std / 1e6)
     return cells
 
 
-def test_table1(benchmark, baseline_campaign):
-    cells = benchmark(_build_table, baseline_campaign)
+def test_table1(benchmark, baseline_results):
+    cells = benchmark(_build_table, baseline_results)
     text = render_table(
         "Table 1: game system bitrates without capacity constraints or "
         "competing traffic",

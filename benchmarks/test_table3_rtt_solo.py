@@ -8,23 +8,26 @@ limits because the systems avoid saturating the path until loss.
 from benchmarks.conftest import write_artifact
 from repro.analysis.render import render_table
 from repro.experiments.conditions import CAPACITIES, QUEUE_MULTS, SYSTEM_NAMES
+from repro.report import aggregate_results
 
 
-def _build_table(campaign, timeline):
+def _build_table(results):
+    # Solo conditions pool RTT over the solo window (Table 3's).
+    report = aggregate_results(results, keep_bands=False)
     cells = {}
     for capacity in CAPACITIES:
         for queue in QUEUE_MULTS:
             for system in SYSTEM_NAMES:
-                condition = campaign.get(system, None, capacity, queue)
-                mean, std = condition.rtt_cell(timeline, window="solo")
+                condition = report.get(system, None, capacity, queue)
+                mean, std = condition.rtt_s.mean_std()
                 row = f"{capacity / 1e6:.0f} Mb/s"
                 col = f"{system} {queue:g}x"
                 cells[(row, col)] = (mean * 1e3, std * 1e3)
     return cells
 
 
-def test_table3(benchmark, solo_campaign, timeline):
-    cells = benchmark(_build_table, solo_campaign, timeline)
+def test_table3(benchmark, solo_results):
+    cells = benchmark(_build_table, solo_results)
     cols = [
         f"{system} {queue:g}x"
         for queue in sorted(QUEUE_MULTS)

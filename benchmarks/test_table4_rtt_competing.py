@@ -11,24 +11,27 @@ import numpy as np
 from benchmarks.conftest import write_artifact
 from repro.analysis.render import render_table
 from repro.experiments.conditions import CAPACITIES, CCAS, QUEUE_MULTS, SYSTEM_NAMES
+from repro.report import aggregate_results
 
 
-def _build_table(campaign, timeline):
+def _build_table(results):
+    # Contended conditions pool RTT over the contention window.
+    report = aggregate_results(results, keep_bands=False)
     cells = {}
     for capacity in CAPACITIES:
         for queue in QUEUE_MULTS:
             for system in SYSTEM_NAMES:
                 for cca in CCAS:
-                    condition = campaign.get(system, cca, capacity, queue)
-                    mean, std = condition.rtt_cell(timeline, window="contention")
+                    condition = report.get(system, cca, capacity, queue)
+                    mean, std = condition.rtt_s.mean_std()
                     row = f"{capacity / 1e6:.0f} Mb/s"
                     col = f"{system[:4]} {queue:g}x {cca}"
                     cells[(row, col)] = (mean * 1e3, std * 1e3)
     return cells
 
 
-def test_table4(benchmark, contended_campaign, timeline):
-    cells = benchmark(_build_table, contended_campaign, timeline)
+def test_table4(benchmark, contended_results):
+    cells = benchmark(_build_table, contended_results)
     cols = [
         f"{system[:4]} {queue:g}x {cca}"
         for queue in sorted(QUEUE_MULTS)

@@ -12,23 +12,25 @@ import numpy as np
 from benchmarks.conftest import write_artifact
 from repro.analysis.render import render_table
 from repro.experiments.conditions import CAPACITIES, CCAS, QUEUE_MULTS, SYSTEM_NAMES
+from repro.report import aggregate_results
 
 
-def _build_table(campaign):
+def _build_table(results):
+    report = aggregate_results(results, keep_bands=False)
     cells = {}
     for capacity in CAPACITIES:
         for queue in QUEUE_MULTS:
             for system in SYSTEM_NAMES:
                 for cca in CCAS:
-                    condition = campaign.get(system, cca, capacity, queue)
+                    condition = report.get(system, cca, capacity, queue)
                     row = f"{capacity / 1e6:.0f} Mb/s"
                     col = f"{system[:4]} {queue:g}x {cca}"
-                    cells[(row, col)] = condition.framerate_cell()
+                    cells[(row, col)] = condition.fps.mean_std()
     return cells
 
 
-def test_table5(benchmark, contended_campaign):
-    cells = benchmark(_build_table, contended_campaign)
+def test_table5(benchmark, contended_results):
+    cells = benchmark(_build_table, contended_results)
     cols = [
         f"{system[:4]} {queue:g}x {cca}"
         for queue in sorted(QUEUE_MULTS)

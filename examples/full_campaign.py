@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """Run the paper's full measurement campaign and print every artefact.
 
-This is the driver a downstream user runs to regenerate Tables 1/3/4/5
-and Figures 2/3/4 in one go.  At the default ``--profile quick``
+This is the driver a downstream user runs to regenerate Figures 2-4
+and Tables 4-5 in one go: the ``figures`` report formatter over the
+campaign's results, the same files ``repro-gsnet report runs/ --format
+figures`` renders from a store.  At the default ``--profile quick``
 (1/3-scale runs) and ``--iterations 2`` it takes tens of minutes on one
 core; ``--profile paper --iterations 15`` is the faithful (and very
 long) version of the paper's 48-hour campaign.
@@ -19,20 +21,9 @@ import argparse
 import time
 from pathlib import Path
 
-from repro import Campaign, PAPER, QUICK, RunConfig, SMOKE, striped_order
+from repro import Campaign, PAPER, QUICK, SMOKE, striped_order
+from repro.report import aggregate_results, get_formatter
 from repro.store import RunStore
-from repro.analysis.adaptiveness import AdaptivenessPoint, adaptiveness
-from repro.analysis.render import (
-    render_heatmap,
-    render_scatter,
-    render_table,
-)
-from repro.experiments.conditions import (
-    CAPACITIES,
-    CCAS,
-    QUEUE_MULTS,
-    SYSTEM_NAMES,
-)
 
 _PROFILES = {"paper": PAPER, "quick": QUICK, "smoke": SMOKE}
 
@@ -85,72 +76,16 @@ def main() -> None:
 
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        for key, condition in campaign.conditions.items():
-            for run in condition.runs:
-                name = (f"{run.system}-{run.cca}-{run.capacity_bps / 1e6:.0f}M-"
-                        f"{run.queue_mult:g}x-s{run.seed}.json")
-                run.save(args.out / name)
+        for run in report.results:
+            name = (f"{run.system}-{run.cca}-{run.capacity_bps / 1e6:.0f}M-"
+                    f"{run.queue_mult:g}x-s{run.seed}.json")
+            run.save(args.out / name)
         print(f"per-run results saved to {args.out}/\n")
 
-    # ---- Figure 3 -------------------------------------------------------
-    for cca in CCAS:
-        for system in SYSTEM_NAMES:
-            cells = {
-                (f"{cap / 1e6:.0f} Mb/s", f"{q:g}x"):
-                    campaign.get(system, cca, cap, q).fairness()
-                for cap in CAPACITIES
-                for q in QUEUE_MULTS
-            }
-            print(render_heatmap(
-                f"Figure 3: {system} vs TCP {cca}",
-                [f"{c / 1e6:.0f} Mb/s" for c in CAPACITIES],
-                [f"{q:g}x" for q in sorted(QUEUE_MULTS)],
-                cells,
-            ))
-            print()
-
-    # ---- Figure 4 -------------------------------------------------------
-    raw = []
-    for cca in CCAS:
-        for system in SYSTEM_NAMES:
-            for cap in CAPACITIES:
-                for q in QUEUE_MULTS:
-                    condition = campaign.get(system, cca, cap, q)
-                    response, recovery = condition.response_recovery(timeline)
-                    raw.append((system, cca, cap, q, condition.fairness(),
-                                response, recovery))
-    c_max = max(r[5] for r in raw) or 1.0
-    e_max = max(r[6] for r in raw) or 1.0
-    points = [
-        AdaptivenessPoint(s, c, cap, q, f, resp, rec,
-                          adaptiveness(resp, rec, c_max, e_max))
-        for s, c, cap, q, f, resp, rec in raw
-    ]
-    for cca in CCAS:
-        print(render_scatter(f"Figure 4: game vs TCP {cca}",
-                             [p for p in points if p.cca == cca]))
-        print()
-
-    # ---- Tables 4 and 5 ---------------------------------------------------
-    for title, cell_fn, digits in (
-        ("Table 4: RTT (ms) with competing flow",
-         lambda cond: tuple(v * 1e3 for v in cond.rtt_cell(timeline)), 1),
-        ("Table 5: frame rate (f/s) with competing flow",
-         lambda cond: cond.framerate_cell(), 1),
-    ):
-        cells = {}
-        for cap in CAPACITIES:
-            for q in QUEUE_MULTS:
-                for system in SYSTEM_NAMES:
-                    for cca in CCAS:
-                        condition = campaign.get(system, cca, cap, q)
-                        cells[(f"{cap / 1e6:.0f} Mb/s",
-                               f"{system[:4]} {q:g}x {cca}")] = cell_fn(condition)
-        cols = [f"{s[:4]} {q:g}x {c}" for q in sorted(QUEUE_MULTS)
-                for s in SYSTEM_NAMES for c in CCAS]
-        print(render_table(title, [f"{c / 1e6:.0f} Mb/s" for c in sorted(CAPACITIES)],
-                           cols, cells, digits=digits))
-        print()
+    figures = get_formatter("figures")(aggregate_results(report.results))
+    for name, text in sorted(figures.items()):
+        print(f"=== {name} ===")
+        print(text)
 
 
 if __name__ == "__main__":

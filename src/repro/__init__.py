@@ -14,8 +14,8 @@ scratch:
   with calibrated per-system profiles.
 - :mod:`repro.testbed` -- the paper's dumbbell testbed: tc-style router
   configuration, iperf, packet capture, ping.
-- :mod:`repro.analysis` -- bitrate bands, fairness, adaptiveness, RTT /
-  loss / frame-rate tables.
+- :mod:`repro.analysis` -- bitrate bands, fairness, adaptiveness, and
+  the streaming reducers :mod:`repro.report` folds every table cell in.
 - :mod:`repro.experiments` -- run configs, the Table 2 grid, striped
   campaigns.
 - :mod:`repro.obs` -- zero-overhead tracepoint bus, sampled internal-
@@ -45,7 +45,6 @@ from repro.obs import (
 )
 from repro.experiments import (
     Campaign,
-    ConditionResult,
     PAPER,
     QUICK,
     RunConfig,
@@ -65,7 +64,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Campaign",
-    "ConditionResult",
     "GEFORCE",
     "GameStreamingTestbed",
     "JsonlSink",

@@ -7,7 +7,8 @@ summarised in one pass with bounded memory:
 
 - :class:`Moments` -- Welford's online mean/variance (plus min/max),
   mergeable across partial aggregations (Chan et al.'s parallel
-  update), with the same Student-t 95% CI the per-run analysis uses.
+  update), with the paper's "mean (std)" cell and the same Student-t
+  95% CI the per-run analysis uses.
 - :class:`QuantileReservoir` -- exact quantiles/CDF while the sample
   count fits the cap, deterministic (seeded) reservoir sampling beyond
   it, so RTT CDFs over 10^5 runs cannot exhaust memory.
@@ -101,6 +102,13 @@ class Moments:
         if self.count < 2:
             return 0.0 if self.count == 1 else float("nan")
         return float(np.sqrt(self._m2 / (self.count - 1)))
+
+    def mean_std(self) -> tuple[float, float]:
+        """The paper's "mean (std)" cell; (nan, nan) when nothing was
+        observed, like :func:`repro.analysis.stats.mean_std`."""
+        if self.count == 0:
+            return float("nan"), float("nan")
+        return self.mean, self.std
 
     def ci95_half(self) -> float:
         """95% CI half-width (Student-t), matching

@@ -84,6 +84,7 @@ from repro.obs import (
     summarize_trace,
 )
 from repro.report import (
+    aggregate_results,
     aggregate_store,
     campaign_status,
     formatter_names,
@@ -477,6 +478,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StoreUnusable(Exception):
+    """A store directory that cannot be opened; ends the command."""
+
+
+def _open_store(path: str | None) -> RunStore | None:
+    """The run store at ``path``, or None when no path was given.
+
+    A path that cannot hold a store (a file, an unreadable directory,
+    another store format) raises :class:`_StoreUnusable`, which
+    :func:`main` turns into ``error: ...`` and exit status 1.
+    """
+    if not path:
+        return None
+    try:
+        return RunStore(path)
+    except (OSError, ValueError, StoreVersionError) as exc:
+        raise _StoreUnusable(str(exc)) from None
+
+
 def _make_config(args: argparse.Namespace, seed: int | None = None) -> RunConfig:
     return RunConfig(
         system=args.system,
@@ -497,11 +517,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        try:
-            store = RunStore(args.store) if args.store else None
-        except StoreVersionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        store = _open_store(args.store)
         results = run_single(_make_config(args), store=store, seeds=args.seeds)
         if args.json:
             print(json.dumps([result.to_dict() for result in results]))
@@ -526,11 +542,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 1
     metrics = MetricsRecorder() if args.metrics else None
     profiler = SimProfiler() if args.profile_sim else None
-    try:
-        store = RunStore(args.store) if args.store else None
-    except StoreVersionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    store = _open_store(args.store)
 
     try:
         result = run_single(
@@ -598,29 +610,27 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_condition(args: argparse.Namespace) -> int:
-    timeline = _TIMELINES[args.profile]
     configs = [_make_config(args, seed=args.seed + i) for i in range(args.iterations)]
-    campaign = Campaign().run(configs)
-    condition = campaign.get(args.system, args.cca, args.capacity * 1e6, args.queue)
+    results = Campaign().run(configs).report.results
+    condition = aggregate_results(results, keep_bands=False).get(
+        args.system, args.cca, args.capacity * 1e6, args.queue
+    )
     print(f"condition {args.system} vs {args.cca or 'solo'} "
           f"@ {args.capacity:g} Mb/s, {args.queue:g}x BDP, "
           f"{args.iterations} iterations")
-    mean, std = condition.baseline_bitrate()
+    mean, std = condition.baseline_bps.mean_std()
     print(f"  baseline bitrate : {mean / 1e6:.2f} ({std / 1e6:.2f}) Mb/s")
     if args.cca:
-        print(f"  fairness ratio   : {condition.fairness():+.2f}")
-        response, recovery = condition.response_recovery(timeline)
-        print(f"  response time    : {response:.1f} s")
-        print(f"  recovery time    : {recovery:.1f} s")
-    # A solo run has no contention phase: like Table 3, report the RTT
-    # of the window where only the game streams.
-    mean, std = condition.rtt_cell(
-        timeline, window="contention" if args.cca else "solo"
-    )
+        print(f"  fairness ratio   : {condition.fairness.mean:+.2f}")
+        print(f"  response time    : {condition.response_s.mean:.1f} s")
+        print(f"  recovery time    : {condition.recovery_s.mean:.1f} s")
+    # Pooled over the contention window, or for a solo run (no
+    # contention phase) the window Table 3 uses.
+    mean, std = condition.rtt_s.mean_std()
     print(f"  RTT              : {mean * 1e3:.1f} ({std * 1e3:.1f}) ms")
-    mean, std = condition.loss_cell()
+    mean, std = condition.loss_rate.mean_std()
     print(f"  loss rate        : {mean:.4f} ({std:.4f})")
-    mean, std = condition.framerate_cell()
+    mean, std = condition.fps.mean_std()
     print(f"  frame rate       : {mean:.1f} ({std:.1f}) f/s")
     return 0
 
@@ -637,12 +647,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     configs = _matrix_configs(args)
-
-    try:
-        store = RunStore(args.store) if args.store else None
-    except StoreVersionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    store = _open_store(args.store)
 
     progress = None
     if not args.json:
@@ -662,6 +667,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         seed_batch=args.seed_batch,
     ).run(configs)
     report = campaign.report
+    # Listed in the order the grid first names each condition.
+    grid = {}
+    for config in configs:
+        grid.setdefault(
+            (config.system, config.cca, config.capacity_bps, config.queue_mult),
+            len(grid),
+        )
+    conditions = sorted(
+        aggregate_results(report.results, keep_bands=False).conditions.values(),
+        key=lambda c: grid[(c.system, c.cca, c.capacity_bps, c.queue_mult)],
+    )
 
     summary = {
         "campaign_id": report.campaign_id,
@@ -683,9 +699,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 "cca": c.cca,
                 "capacity_bps": c.capacity_bps,
                 "queue_mult": c.queue_mult,
-                "runs": len(c.runs),
+                "runs": c.runs,
             }
-            for c in campaign.conditions.values()
+            for c in conditions
         ],
     }
     if args.json:
@@ -702,14 +718,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         for failure in report.failures:
             print(f"  FAILED {failure.config.label} "
                   f"after {failure.attempts} attempt(s): {failure.error}")
-        for condition in campaign.conditions.values():
+        for condition in conditions:
             cca = condition.cca or "solo"
             line = (f"  {condition.system} vs {cca} @ "
                     f"{condition.capacity_bps / 1e6:g} Mb/s, "
                     f"{condition.queue_mult:g}x BDP: "
-                    f"{len(condition.runs)} runs")
-            if condition.cca is not None:
-                line += f", fairness {condition.fairness():+.2f}"
+                    f"{condition.runs} runs")
+            if condition.contended:
+                line += f", fairness {condition.fairness.mean:+.2f}"
             print(line)
     if report.interrupted:
         if not args.json:
@@ -737,15 +753,15 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
         try:
             if args.store_command == "merge":
-                dest = RunStore(args.dest)
+                dest = _open_store(args.dest)
                 reports = [
-                    (src, merge_stores(dest, RunStore(src)))
+                    (src, merge_stores(dest, _open_store(src)))
                     for src in args.sources
                 ]
             elif args.store_command == "push":
-                reports = [(args.remote, push_store(RunStore(args.path), args.remote))]
+                reports = [(args.remote, push_store(_open_store(args.path), args.remote))]
             else:
-                reports = [(args.remote, pull_store(RunStore(args.path), args.remote))]
+                reports = [(args.remote, pull_store(_open_store(args.path), args.remote))]
         except (OSError, ValueError, StoreVersionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -763,11 +779,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
                       "(destination kept)", file=sys.stderr)
         return 1 if conflicts else 0
 
-    try:
-        store = RunStore(args.path)
-    except (OSError, ValueError, StoreVersionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    store = _open_store(args.path)
     if args.store_command == "ls":
         if getattr(args, "json", False):
             # Machine-readable listing: the same stat-enriched entries
@@ -798,11 +810,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        store = RunStore(args.path)
-    except (OSError, ValueError, StoreVersionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    store = _open_store(args.path)
     try:
         where = parse_where(args.where)
     except ValueError as exc:
@@ -887,11 +895,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             return 1
         source = args.url
     else:
-        try:
-            store = RunStore(args.path)
-        except (OSError, ValueError, StoreVersionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        store = _open_store(args.path)
         ids = [args.campaign] if args.campaign else store.campaign_ids()
         statuses = [
             status
@@ -923,11 +927,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         if args.shard_size < 1:
             print("error: --shard-size must be >= 1", file=sys.stderr)
             return 2
-        try:
-            store = RunStore(args.store)
-        except (OSError, ValueError, StoreVersionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        store = _open_store(args.store)
         coordinator = Coordinator(
             store, shard_size=args.shard_size, ttl_s=args.ttl
         )
@@ -1003,16 +1003,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
                   "result store; there is no shared directory to default "
                   "to)", file=sys.stderr)
             return 2
-        try:
-            coord_store = (
-                RunStore(args.queue_store) if args.queue_store else None
-            )
-            store = (
-                RunStore(args.store) if args.store else coord_store
-            )
-        except (OSError, ValueError, StoreVersionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        coord_store = _open_store(args.queue_store)
+        store = _open_store(args.store) if args.store else coord_store
         try:
             worker = DistWorker(
                 coord_store,
@@ -1071,11 +1063,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         return 1 if (report.failed or report.push_conflicts) else 0
 
     # serve
-    try:
-        store = RunStore(args.path)
-    except (OSError, ValueError, StoreVersionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    store = _open_store(args.path)
     try:
         service = CampaignService(store, host=args.host, port=args.port)
     except OSError as exc:
@@ -1109,11 +1097,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         for i in range(args.iterations)
         for system in SYSTEM_NAMES
     ]
-    campaign = Campaign().run(configs)
+    results = Campaign().run(configs).report.results
+    report = aggregate_results(results, keep_bands=False)
     cells = {}
     for system in SYSTEM_NAMES:
-        condition = campaign.get(system, None, 1e9, 2.0)
-        mean, std = condition.baseline_bitrate()
+        mean, std = report.get(system, None, 1e9, 2.0).baseline_bps.mean_std()
         cells[(system, "Bitrate (Mb/s)")] = (mean / 1e6, std / 1e6)
     print(
         render_table(
@@ -1142,6 +1130,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except _StoreUnusable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # Downstream closed the pipe (| head, | less quit): exit quietly
         # like other Unix tools.  Redirect stdout to devnull so the

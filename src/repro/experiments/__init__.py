@@ -9,12 +9,13 @@
 - :mod:`repro.experiments.runner` -- run one configuration, extract a
   :class:`~repro.experiments.results.RunResult`.
 - :mod:`repro.experiments.campaign` -- run grids of conditions with
-  multiple iterations and aggregate per condition.
+  multiple iterations (aggregated per condition by
+  :func:`repro.report.aggregate`).
 - :mod:`repro.experiments.multirun` -- in-process multi-seed execution
   sharing one topology build per condition.
 """
 
-from repro.experiments.campaign import Campaign, ConditionResult
+from repro.experiments.campaign import Campaign
 from repro.experiments.conditions import (
     CAPACITIES,
     CCAS,
@@ -33,7 +34,6 @@ __all__ = [
     "CAPACITIES",
     "CCAS",
     "Campaign",
-    "ConditionResult",
     "PAPER",
     "QUEUE_MULTS",
     "QUICK",

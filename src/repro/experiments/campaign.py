@@ -1,9 +1,17 @@
-"""Campaigns: many runs, aggregated per condition.
+"""Campaigns: many runs, one scheduler report.
 
 A :class:`Campaign` executes runs (optionally in parallel across
-processes -- each run is an independent simulation) and groups results
-by condition key ``(system, cca, capacity, queue_mult)`` for the
-analysis layer.
+processes -- each run is an independent simulation) and keeps the
+scheduler's report; per-condition numbers come from folding its
+results through the report tier::
+
+    from repro.report import aggregate_results
+
+    cells = aggregate_results(campaign.report.results)
+    cells.get("luna", "bbr", 15e6, 0.5).fps.mean_std()
+
+The campaign itself never aggregates: a cached re-run of a large grid
+only pays for what its caller reads.
 
 Execution is delegated to
 :class:`~repro.store.scheduler.CampaignScheduler`: results stream back
@@ -17,98 +25,18 @@ rest of the campaign).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.analysis import framerate, loss, rtt
-from repro.analysis.adaptiveness import response_recovery
-from repro.analysis.bitrate import BitrateBand, aggregate_bitrate_series
-from repro.analysis.stats import mean_std
 from repro.experiments.config import RunConfig
-from repro.experiments.profiles import Timeline
 from repro.experiments.results import RunResult
 from repro.experiments.runner import run_single
-from repro.obs.profiler import campaign_profile
 from repro.obs.trace import NULL_TRACER
 from repro.store.chaos import ChaosRunner, ChaosSpec
 from repro.store.scheduler import CampaignScheduler
 
-__all__ = ["Campaign", "ConditionResult", "condition_key"]
-
-
-def condition_key(result: RunResult) -> tuple:
-    return (result.system, result.cca, result.capacity_bps, result.queue_mult)
-
-
-@dataclass
-class ConditionResult:
-    """All runs of one (system, cca, capacity, queue) condition."""
-
-    system: str
-    cca: str | None
-    capacity_bps: float
-    queue_mult: float
-    runs: list[RunResult] = field(default_factory=list)
-
-    def _require_runs(self, what: str) -> None:
-        """Empty conditions must fail loudly, not average to NaN."""
-        if not self.runs:
-            raise ValueError(
-                f"cannot compute {what}: condition ({self.system}, "
-                f"{self.cca}, {self.capacity_bps:g} bps, "
-                f"{self.queue_mult:g}x) has no runs"
-            )
-
-    # -- aggregates used by the benchmark harness -------------------------
-    def game_band(self) -> BitrateBand:
-        """Mean bitrate over time with 95% CI (a Figure 2 line)."""
-        self._require_runs("game_band")
-        return aggregate_bitrate_series([(r.times, r.game_bps) for r in self.runs])
-
-    def iperf_band(self) -> BitrateBand:
-        self._require_runs("iperf_band")
-        return aggregate_bitrate_series([(r.times, r.iperf_bps) for r in self.runs])
-
-    def fairness(self) -> float:
-        """Mean (game - iperf) / capacity over the fairness window."""
-        self._require_runs("fairness")
-        return float(np.mean([r.fairness_ratio for r in self.runs]))
-
-    def baseline_bitrate(self) -> tuple[float, float]:
-        """Mean/std of the per-run baseline (Table 1 uses solo runs)."""
-        self._require_runs("baseline_bitrate")
-        return mean_std([r.solo_bps for r in self.runs])
-
-    def rtt_cell(self, timeline: Timeline, window: str = "contention") -> tuple[float, float]:
-        """Pooled RTT mean/std over a window ("contention" or "solo")."""
-        self._require_runs("rtt_cell")
-        lo, hi = (
-            timeline.contention_window if window == "contention" else timeline.solo_window
-        )
-        return rtt.rtt_cell([r.rtts_in(lo, hi) for r in self.runs])
-
-    def loss_cell(self) -> tuple[float, float]:
-        self._require_runs("loss_cell")
-        return loss.loss_cell([r.game_loss_rate for r in self.runs])
-
-    def framerate_cell(self) -> tuple[float, float]:
-        self._require_runs("framerate_cell")
-        return framerate.framerate_cell(
-            [r.displayed_fps_contention for r in self.runs]
-        )
-
-    def response_recovery(self, timeline: Timeline) -> tuple[float, float]:
-        """Mean per-run response and recovery times (Section 4.2)."""
-        self._require_runs("response_recovery")
-        responses, recoveries = zip(
-            *(response_recovery(r.times, r.game_bps, timeline) for r in self.runs)
-        )
-        return float(np.mean(responses)), float(np.mean(recoveries))
+__all__ = ["Campaign"]
 
 
 class Campaign:
-    """Execute a set of runs and aggregate them per condition.
+    """Execute a set of runs through the campaign scheduler.
 
     Args:
         workers: how many runs may be outstanding at once: the
@@ -186,10 +114,10 @@ class Campaign:
         self.backoff_cap = backoff_cap
         self.heartbeat_interval = heartbeat_interval
         self.seed_batch = seed_batch
-        self.conditions: dict[tuple, ConditionResult] = {}
         #: Per-run (label, wall seconds), in completion order.
         self.wall_times: list[tuple[str, float]] = []
-        #: The last run's scheduler report (cache hits, retries, ...).
+        #: The last run's scheduler report: results in completion
+        #: order, cache hits, retries, failures, ...
         self.report = None
 
     @staticmethod
@@ -201,7 +129,7 @@ class Campaign:
         )
 
     def run(self, configs: list[RunConfig]) -> "Campaign":
-        """Run every config, grouping results by condition.
+        """Run every config; the results land in ``report.results``.
 
         Cached runs count toward progress like executed ones; a config
         that keeps failing raises
@@ -240,32 +168,5 @@ class Campaign:
     ) -> None:
         label = self._label(result)
         self.wall_times.append((label, result.wall_time_s))
-        self.add(result)
         if self.progress is not None:
             self.progress(done, total, label, result.wall_time_s)
-
-    def profile_summary(self) -> dict:
-        """Aggregate wall-time profile across all completed runs."""
-        return campaign_profile(self.wall_times)
-
-    def add(self, result: RunResult) -> None:
-        key = condition_key(result)
-        condition = self.conditions.get(key)
-        if condition is None:
-            condition = ConditionResult(
-                system=result.system,
-                cca=result.cca,
-                capacity_bps=result.capacity_bps,
-                queue_mult=result.queue_mult,
-            )
-            self.conditions[key] = condition
-        condition.runs.append(result)
-
-    def get(
-        self, system: str, cca: str | None, capacity_bps: float, queue_mult: float
-    ) -> ConditionResult:
-        key = (system, cca, capacity_bps, queue_mult)
-        try:
-            return self.conditions[key]
-        except KeyError:
-            raise KeyError(f"no runs for condition {key}") from None

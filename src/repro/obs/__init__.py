@@ -11,7 +11,7 @@ from the inside:
 - :mod:`repro.obs.metrics` -- gauges and counters sampled on a fixed
   simulation-time period (queue occupancy, cwnd, GCC target, ...).
 - :mod:`repro.obs.profiler` -- wall-time per callback category,
-  events/second, and peak heap depth for one run; campaign aggregation.
+  events/second, and peak heap depth for one run.
 - :mod:`repro.obs.inspect` -- summarise a trace file (the
   ``repro-gsnet inspect`` subcommand).
 """
@@ -19,7 +19,7 @@ from the inside:
 from repro.obs.counters import CounterSet
 from repro.obs.inspect import load_trace, render_trace_summary, summarize_trace
 from repro.obs.metrics import MetricsRecorder
-from repro.obs.profiler import SimProfiler, campaign_profile
+from repro.obs.profiler import SimProfiler
 from repro.obs.trace import JsonlSink, MemorySink, NULL_TRACER, Tracer
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "NULL_TRACER",
     "SimProfiler",
     "Tracer",
-    "campaign_profile",
     "load_trace",
     "render_trace_summary",
     "summarize_trace",

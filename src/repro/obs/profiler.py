@@ -9,17 +9,13 @@ event-heap depth.  A component that coalesces its events reports under
 its timer's name: delay-line deliveries, the client's frame deadlines
 among them, are all ``DelayLine._fire``.  Attach it only when
 profiling: the engine's unprofiled path has no timing calls at all.
-
-:func:`campaign_profile` aggregates per-run wall times recorded by the
-runner into a campaign-level summary (total/mean wall time, the slowest
-run) -- the numbers future performance work will regress against.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 
-__all__ = ["SimProfiler", "campaign_profile"]
+__all__ = ["SimProfiler"]
 
 
 class SimProfiler:
@@ -109,16 +105,3 @@ class SimProfiler:
             lines.append(f"  ... {hidden} more categories")
         return "\n".join(lines)
 
-
-def campaign_profile(wall_times: "list[tuple[str, float]]") -> dict:
-    """Aggregate (run label, wall seconds) pairs into a campaign summary."""
-    if not wall_times:
-        return {"runs": 0, "wall_total_s": 0.0, "wall_mean_s": 0.0, "slowest": None}
-    total = sum(wall for _, wall in wall_times)
-    label, slowest = max(wall_times, key=lambda item: item[1])
-    return {
-        "runs": len(wall_times),
-        "wall_total_s": total,
-        "wall_mean_s": total / len(wall_times),
-        "slowest": {"label": label, "wall_s": slowest},
-    }

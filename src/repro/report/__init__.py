@@ -3,10 +3,12 @@
 The packet level simulates, the store remembers, this package answers
 questions -- without ever running a simulation:
 
-- :mod:`repro.report.aggregate` -- one-pass sweep aggregation over
-  stored runs selected through the
-  :class:`~repro.store.index.StoreIndex`, built on the streaming
-  reducers in :mod:`repro.analysis.reducers`.
+- :mod:`repro.report.aggregate` -- one-pass sweep aggregation, the
+  one definition of every per-condition number: over live results
+  (``aggregate_results(campaign.report.results)``) or over stored runs selected
+  through the :class:`~repro.store.index.StoreIndex`
+  (``aggregate_store``), built on the streaming reducers in
+  :mod:`repro.analysis.reducers`.
 - :mod:`repro.report.formatters` -- the flent-style
   ``@register_formatter`` registry: ``table``, ``csv``, ``json``,
   ``markdown`` and ``figures`` (the paper's figure set as plain text).
@@ -17,7 +19,12 @@ CLI entry points: ``repro-gsnet report <store> --where cca=bbr
 --format csv -o out/`` and ``repro-gsnet status <store>``.
 """
 
-from repro.report.aggregate import ConditionAggregate, SweepReport, aggregate_store
+from repro.report.aggregate import (
+    ConditionAggregate,
+    SweepReport,
+    aggregate_results,
+    aggregate_store,
+)
 from repro.report.formatters import (
     Formatter,
     formatter_names,
@@ -30,6 +37,7 @@ __all__ = [
     "ConditionAggregate",
     "Formatter",
     "SweepReport",
+    "aggregate_results",
     "aggregate_store",
     "campaign_status",
     "formatter_names",

@@ -1,32 +1,38 @@
-"""Batched sweep aggregation: stream stored runs into condition summaries.
+"""Sweep aggregation: fold runs into per-condition summaries.
 
-:func:`aggregate_store` selects runs through the
-:class:`~repro.store.index.StoreIndex`, loads each
-:class:`~repro.experiments.results.RunResult` exactly once, and folds
-it into per-condition reducers (:mod:`repro.analysis.reducers`), so an
-arbitrarily large sweep is summarised in one pass with memory bounded
-by the number of *conditions*, not the number of runs.
+Every per-condition number the repository prints -- the paper's table
+cells, the Figure 2 bands, the Figure 4 points, in ``repro-gsnet
+report``, the ``condition``/``table1``/``campaign`` commands and the
+``benchmarks/`` artefacts alike -- comes from one
+:class:`ConditionAggregate`.  It folds one
+:class:`~repro.experiments.results.RunResult` at a time into streaming
+reducers (:mod:`repro.analysis.reducers`): the fairness ratio over the
+fairness window, RTT pooled over the contention (or solo) window,
+response/recovery per Section 4.2.  Memory is bounded by the number of
+*conditions*, not the number of runs.
 
-Per-run metrics reuse the same definitions as the live
-:class:`~repro.experiments.campaign.ConditionResult` aggregates -- the
-fairness ratio over the fairness window, pooled RTT over the
-contention (or solo) window, response/recovery per Section 4.2 -- so a
-report over a store and a report over a just-finished campaign agree.
+Two entry points feed the fold:
+
+- :func:`aggregate` -- live results, e.g. ``campaign.report.results``;
+- :func:`aggregate_store` -- stored runs selected through the
+  :class:`~repro.store.index.StoreIndex`, each loaded exactly once.
+
+Both fold in the index's run order (:func:`~repro.store.index.run_order`),
+so a report over a just-finished campaign renders byte-identical to one
+over the store it wrote.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.analysis.adaptiveness import adaptiveness, response_recovery
 from repro.analysis.reducers import BandAccumulator, Moments, QuantileReservoir
 from repro.experiments.profiles import Timeline
 from repro.experiments.results import RunResult
-from repro.store.index import StoreIndex
+from repro.store.index import StoreIndex, run_order
 
-__all__ = ["ConditionAggregate", "SweepReport", "aggregate_store"]
+__all__ = ["ConditionAggregate", "SweepReport", "aggregate_results", "aggregate_store"]
 
 #: Condition identity: every axis except the seed (seeds are the runs).
 CONDITION_AXES = (
@@ -137,34 +143,52 @@ def _scale_moments(summary: dict | None, factor: float) -> dict | None:
 
 
 class SweepReport:
-    """Everything one ``repro-gsnet report`` invocation aggregated.
+    """Everything one aggregation folded.
 
     ``conditions`` maps the :data:`CONDITION_AXES` tuple to its
     :class:`ConditionAggregate`, in the index's deterministic order.
     """
 
-    def __init__(self, store_root: str, where: dict):
+    def __init__(self, store_root: str | None, where: dict):
         self.store_root = store_root
         self.where = where
         self.conditions: dict[tuple, ConditionAggregate] = {}
         self.total_runs = 0
         self.skipped: list[str] = []
 
-    def condition_for(self, entry: dict, keep_bands: bool = True) -> ConditionAggregate:
-        key = tuple(entry.get(axis) for axis in CONDITION_AXES)
+    def add(self, axes: dict, result: RunResult, keep_bands: bool = True) -> None:
+        """Fold ``result`` into the condition named by ``axes``.
+
+        ``axes`` is the run's manifest entry, or the run's own fields.
+        """
+        key = tuple(axes.get(axis) for axis in CONDITION_AXES)
         condition = self.conditions.get(key)
         if condition is None:
             condition = ConditionAggregate(
-                system=entry["system"],
-                cca=entry.get("cca"),
-                capacity_bps=float(entry["capacity_bps"]),
-                queue_mult=float(entry["queue_mult"]),
-                qdisc=entry.get("qdisc", "droptail"),
-                timeline_scale=float(entry.get("timeline_scale", 1.0)),
+                system=axes["system"],
+                cca=axes.get("cca"),
+                capacity_bps=float(axes["capacity_bps"]),
+                queue_mult=float(axes["queue_mult"]),
+                qdisc=axes.get("qdisc", "droptail"),
+                timeline_scale=float(axes.get("timeline_scale", 1.0)),
                 keep_bands=keep_bands,
             )
             self.conditions[key] = condition
-        return condition
+        condition.add(result)
+        self.total_runs += 1
+
+    def get(
+        self, system: str, cca: str | None, capacity_bps: float, queue_mult: float
+    ) -> ConditionAggregate:
+        """The one condition with these axes; KeyError unless exactly one."""
+        key = (system, cca, capacity_bps, queue_mult)
+        matches = [
+            c for c in self.conditions.values()
+            if (c.system, c.cca, c.capacity_bps, c.queue_mult) == key
+        ]
+        if len(matches) != 1:
+            raise KeyError(f"{len(matches)} conditions match {key}, expected one")
+        return matches[0]
 
     # ------------------------------------------------------------------
     def adaptiveness_points(self) -> list:
@@ -228,20 +252,30 @@ class SweepReport:
         }
 
 
+def aggregate_results(results, keep_bands: bool = True) -> SweepReport:
+    """One-pass aggregation of live results, in the index's run order.
+
+    ``keep_bands=False`` drops the Figure-2 band accumulation (and its
+    per-condition arrays) for metric-only reports.
+    """
+    report = SweepReport(store_root=None, where={})
+    for result in sorted(results, key=lambda r: run_order(vars(r).get)):
+        report.add(vars(result), result, keep_bands)
+    return report
+
+
 def aggregate_store(
     store,
     where: dict | None = None,
     index: StoreIndex | None = None,
     keep_bands: bool = True,
 ) -> SweepReport:
-    """One-pass aggregation of every stored run matching ``where``.
+    """:func:`aggregate` over every stored run matching ``where``.
 
     Runs stream through :meth:`RunStore.get_fp` one at a time; nothing
     is ever simulated.  Manifest entries whose objects have been
     removed are recorded in ``report.skipped`` rather than failing the
-    whole sweep.  ``keep_bands=False`` drops the Figure-2 band
-    accumulation (and its per-condition arrays) for metric-only
-    reports.
+    whole sweep.
     """
     where = dict(where or {})
     if index is None:
@@ -252,6 +286,5 @@ def aggregate_store(
         if result is None:
             report.skipped.append(entry["fp"])
             continue
-        report.condition_for(entry, keep_bands=keep_bands).add(result)
-        report.total_runs += 1
+        report.add(entry, result, keep_bands)
     return report

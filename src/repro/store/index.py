@@ -23,7 +23,7 @@ from pathlib import Path
 
 from repro.store.runstore import RunStore, _atomic_write_text
 
-__all__ = ["StoreIndex", "parse_where"]
+__all__ = ["StoreIndex", "parse_where", "run_order"]
 
 #: Condition axes every manifest entry carries (fingerprint identity).
 AXES = (
@@ -50,6 +50,27 @@ _ALIASES = {
 
 #: Cache schema version (bump on layout changes; stale caches rebuild).
 _CACHE_FORMAT = 1
+
+
+def run_order(get) -> tuple:
+    """Sort key of the index's deterministic run order.
+
+    ``get(axis)`` reads one axis of a run: ``entry.get`` for a manifest
+    entry, ``vars(result).get`` for a live
+    :class:`~repro.experiments.results.RunResult`.  Runs sort by
+    (system, cca, capacity, queue, qdisc, seed); a solo run's missing
+    cca sorts first.  :func:`repro.report.aggregate.aggregate_results` folds
+    live results in this same order, which is what makes a report over
+    a campaign render byte-identical to one over the store it wrote.
+    """
+    return (
+        get("system") or "",
+        get("cca") or "",
+        get("capacity_bps") or 0.0,
+        get("queue_mult") or 0.0,
+        get("qdisc") or "",
+        get("seed") or 0,
+    )
 
 
 class StoreIndex:
@@ -88,17 +109,7 @@ class StoreIndex:
     def build(cls, store: RunStore) -> "StoreIndex":
         """Index the manifest (with object size/mtime), bypassing the cache."""
         stamp = cls._manifest_stamp(store)
-        entries = sorted(
-            store.ls(stat=True),
-            key=lambda e: (
-                e.get("system") or "",
-                e.get("cca") or "",
-                e.get("capacity_bps", 0.0),
-                e.get("queue_mult", 0.0),
-                e.get("qdisc") or "",
-                e.get("seed", 0),
-            ),
-        )
+        entries = sorted(store.ls(stat=True), key=lambda e: run_order(e.get))
         return cls(entries, stamp)
 
     @classmethod

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.framerate import framerate_cell
-from repro.analysis.loss import loss_cell
-from repro.analysis.rtt import rtt_cell
 from repro.analysis.stats import confidence_interval_95, format_mean_std, mean_std
+from repro.experiments import SMOKE
+from repro.experiments.results import RunResult
+from repro.report import ConditionAggregate
 
 
 class TestMeanStd:
@@ -64,26 +64,63 @@ class TestFormatting:
         assert format_mean_std(float("nan"), 0.0) == "-"
 
 
+def _solo_run(rtts=(), loss=0.0, fps=60.0) -> RunResult:
+    """A solo run whose ping samples all fall in the solo window."""
+    times = np.arange(SMOKE.bin_width / 2, SMOKE.end, SMOKE.bin_width)
+    sent = np.full(len(rtts), SMOKE.solo_window[0])
+    return RunResult(
+        system="luna", cca=None, capacity_bps=25e6, queue_mult=2.0, seed=0,
+        timeline_scale=SMOKE.scale, times=times,
+        game_bps=np.zeros_like(times), iperf_bps=np.zeros_like(times),
+        baseline_bps=0.0, fairness_game_bps=0.0, fairness_iperf_bps=0.0,
+        solo_bps=0.0,
+        rtt_samples=np.column_stack([sent, rtts]).reshape(-1, 2),
+        game_loss_rate=loss, displayed_fps_contention=fps,
+        displayed_fps_solo=fps, frames_displayed=0, frames_dropped=0,
+    )
+
+
+def _cell(*runs) -> ConditionAggregate:
+    condition = ConditionAggregate(
+        "luna", None, 25e6, 2.0, "droptail", SMOKE.scale, keep_bands=False
+    )
+    for run in runs:
+        condition.add(run)
+    return condition
+
+
 class TestCells:
-    def test_rtt_cell_pools_runs(self):
-        run_a = np.array([0.016, 0.018])
-        run_b = np.array([0.020, 0.022])
-        mean, std = rtt_cell([run_a, run_b])
-        assert mean == pytest.approx(0.019)
-        assert std > 0
+    """The paper's cells, folded by the report tier's ConditionAggregate."""
 
-    def test_rtt_cell_skips_empty_runs(self):
-        mean, _ = rtt_cell([np.array([]), np.array([0.02])])
-        assert mean == pytest.approx(0.02)
+    def test_rtt_pools_samples_across_runs(self):
+        # Pooled, not averaged per run: the one-sample run weighs a
+        # quarter, not a half.
+        condition = _cell(_solo_run([0.016]), _solo_run([0.020, 0.022, 0.024]))
+        pooled = [0.016, 0.020, 0.022, 0.024]
+        mean, std = condition.rtt_s.mean_std()
+        assert condition.rtt_s.count == 4
+        assert mean == pytest.approx(np.mean(pooled))
+        assert std == pytest.approx(np.std(pooled, ddof=1))
 
-    def test_rtt_cell_all_empty(self):
-        mean, std = rtt_cell([np.array([])])
-        assert math.isnan(mean)
+    def test_rtt_skips_runs_without_samples(self):
+        condition = _cell(_solo_run([]), _solo_run([0.02]))
+        assert condition.runs == 2
+        assert condition.rtt_s.mean_std() == (pytest.approx(0.02), 0.0)
 
-    def test_loss_cell(self):
-        mean, std = loss_cell([0.001, 0.003])
+    def test_rtt_of_runs_without_samples_is_empty(self):
+        condition = _cell(_solo_run([]))
+        mean, std = condition.rtt_s.mean_std()
+        assert math.isnan(mean) and math.isnan(std)
+        assert condition.to_dict()["rtt_ms"] is None
+
+    def test_loss_rate_averages_runs(self):
+        condition = _cell(_solo_run(loss=0.001), _solo_run(loss=0.003))
+        mean, std = condition.loss_rate.mean_std()
         assert mean == pytest.approx(0.002)
+        assert std == pytest.approx(np.std([0.001, 0.003], ddof=1))
 
-    def test_framerate_cell(self):
-        mean, std = framerate_cell([58.0, 60.0, 59.0])
+    def test_frame_rate_averages_runs(self):
+        condition = _cell(*(_solo_run(fps=fps) for fps in (58.0, 60.0, 59.0)))
+        mean, std = condition.fps.mean_std()
         assert mean == pytest.approx(59.0)
+        assert std == pytest.approx(1.0)

@@ -1,6 +1,6 @@
-"""Tests for the event-loop profiler and campaign aggregation."""
+"""Tests for the event-loop profiler."""
 
-from repro.obs.profiler import SimProfiler, campaign_profile
+from repro.obs.profiler import SimProfiler
 from repro.sim.engine import Simulator
 
 
@@ -144,16 +144,3 @@ def test_render_mentions_top_categories():
     assert "sim profile" in text
     assert "_busy" in text
 
-
-def test_campaign_profile_empty():
-    assert campaign_profile([]) == {
-        "runs": 0, "wall_total_s": 0.0, "wall_mean_s": 0.0, "slowest": None,
-    }
-
-
-def test_campaign_profile_aggregates():
-    summary = campaign_profile([("a", 1.0), ("b", 3.0), ("c", 2.0)])
-    assert summary["runs"] == 3
-    assert summary["wall_total_s"] == 6.0
-    assert summary["wall_mean_s"] == 2.0
-    assert summary["slowest"] == {"label": "b", "wall_s": 3.0}

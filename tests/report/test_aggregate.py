@@ -9,8 +9,9 @@ import pytest
 from repro.analysis.bitrate import aggregate_bitrate_series
 from repro.analysis.reducers import BandAccumulator, Moments, QuantileReservoir
 from repro.analysis.stats import confidence_interval_95
-from repro.experiments import SMOKE
-from repro.report import aggregate_store
+from repro.experiments import SMOKE, Campaign, campaign as campaign_module
+from repro.report import aggregate_results, aggregate_store, formatter_names, get_formatter
+from repro.store import RunStore
 
 from tests.report.conftest import make_config, make_result
 
@@ -238,3 +239,51 @@ class TestAggregateStore:
         assert report.total_runs == 0
         assert report.conditions == {}
         assert report.to_dict()["adaptiveness"] == []
+
+
+class TestAggregateLive:
+    """aggregate_results() over a campaign == aggregate_store over its store."""
+
+    @pytest.fixture
+    def campaign(self, tmp_path, monkeypatch):
+        """24 synthetic runs through a real Campaign into a fresh store.
+
+        The grid is listed seed-outermost and system-innermost, so the
+        completion order is not the index's run order.
+        """
+        monkeypatch.setattr(campaign_module, "run_single", make_result)
+        configs = [
+            make_config(seed=seed, system=system, cca=cca, queue_mult=queue)
+            for seed in (0, 1)
+            for cca in (None, "cubic", "bbr")
+            for queue in (0.5, 2.0)
+            for system in ("stadia", "luna")
+        ]
+        store = RunStore(tmp_path / "store")
+        return Campaign(store=store).run(configs)
+
+    def test_renders_byte_identical_to_the_store_it_wrote(self, campaign):
+        results = campaign.report.results
+        assert len(results) == 24
+        axes = [(r.system, r.cca or "", r.queue_mult, r.seed) for r in results]
+        assert axes != sorted(axes)  # completion order is not index order
+
+        store = campaign.store
+        live = aggregate_results(results)
+        live.store_root = str(store.root)  # the header names the store
+        stored = aggregate_store(store)
+        for name in formatter_names():
+            formatter = get_formatter(name)
+            assert formatter(live) == formatter(stored), name
+
+    def test_get_names_exactly_one_condition(self, campaign):
+        results = campaign.report.results
+        report = aggregate_results(results)
+        assert report.get("luna", "bbr", 25e6, 0.5).runs == 2
+        with pytest.raises(KeyError, match="0 conditions"):
+            report.get("luna", "reno", 25e6, 0.5)
+        # The same four axes under another qdisc is a second condition.
+        twin = make_result(make_config(system="luna", cca="bbr", queue_mult=0.5))
+        twin.qdisc = "fq_codel"
+        with pytest.raises(KeyError, match="2 conditions"):
+            aggregate_results(results + [twin]).get("luna", "bbr", 25e6, 0.5)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.experiments import Campaign, RunConfig, SMOKE, run_single
+from repro.report import aggregate_results
 from repro.store import RunStore
 
 
@@ -27,11 +28,10 @@ class TestCampaignWithStore:
         assert second.report.cache_hits == 2
 
         # Cached results aggregate identically to the fresh ones.
-        fresh = first.get("luna", "cubic", 25e6, 2.0)
-        cached = second.get("luna", "cubic", 25e6, 2.0)
-        assert cached.fairness() == fresh.fairness()
-        assert cached.baseline_bitrate() == fresh.baseline_bitrate()
-        band_fresh, band_cached = fresh.game_band(), cached.game_band()
+        fresh = aggregate_results(first.report.results).get("luna", "cubic", 25e6, 2.0)
+        cached = aggregate_results(second.report.results).get("luna", "cubic", 25e6, 2.0)
+        assert cached.to_dict() == fresh.to_dict()
+        band_fresh, band_cached = fresh.game_band.band(), cached.game_band.band()
         assert np.allclose(band_cached.mean, band_fresh.mean)
 
     def test_cached_campaign_reports_progress_for_every_run(self, tmp_path):

@@ -59,20 +59,21 @@ def test_condition_command(capsys):
 def test_condition_solo_reports_rtt_over_the_solo_window(capsys, monkeypatch):
     # No competitor, no contention phase: the RTT line must use the
     # window Table 3 uses for solo runs.
-    from repro.experiments.campaign import ConditionResult
+    from repro.experiments import SMOKE
+    from repro.experiments.results import RunResult
 
     windows = []
-    rtt_cell = ConditionResult.rtt_cell
+    rtts_in = RunResult.rtts_in
 
-    def spy(self, timeline, window="contention"):
-        windows.append(window)
-        return rtt_cell(self, timeline, window)
+    def spy(self, t_start, t_end):
+        windows.append((t_start, t_end))
+        return rtts_in(self, t_start, t_end)
 
-    monkeypatch.setattr(ConditionResult, "rtt_cell", spy)
+    monkeypatch.setattr(RunResult, "rtts_in", spy)
     rc = main(["condition", "--system", "stadia", "--profile", "smoke",
                "--iterations", "1"])
     assert rc == 0
-    assert windows == ["solo"]
+    assert windows == [SMOKE.solo_window]
     out = capsys.readouterr().out
     assert "RTT" in out and "fairness ratio" not in out
 
@@ -150,6 +151,26 @@ def test_campaign_human_output(tmp_path, capsys):
     assert "campaign" in out
     assert "1 runs | 0 from cache | 1 executed" in out
     assert "stadia vs solo" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--system", "luna", "--profile", "smoke"],
+    ["run", "--system", "luna", "--profile", "smoke", "--seeds", "1", "2"],
+    ["campaign", "--systems", "luna", "--ccas", "solo", "--capacities", "25",
+     "--queues", "2", "--iterations", "1", "--profile", "smoke"],
+], ids=["run", "run-seeds", "campaign"])
+def test_unusable_store_path_is_an_error_not_a_traceback(
+    command, tmp_path, capsys
+):
+    # A regular file cannot hold a store; every command that takes
+    # --store says so and exits 1 before simulating anything.
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert main(command + ["--store", str(not_a_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert str(not_a_dir) in captured.err
+    assert captured.out == ""
 
 
 def test_campaign_resume_requires_store(capsys):

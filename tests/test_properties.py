@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.analysis.adaptiveness import adaptiveness
 from repro.analysis.fairness import fairness_ratio, harm
 from repro.analysis.stats import confidence_interval_95, mean_std
-from repro.experiments import RunConfig, SMOKE, run_single
+from repro.experiments import RunConfig, Timeline, run_single
 from repro.obs import JsonlSink, Tracer
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
@@ -60,6 +60,11 @@ def test_simulator_cancelled_events_never_fire(entries):
 # ----------------------------------------------------------------------
 
 
+#: A 15 s run: the competing flow still runs from 5.1 s to 10.3 s, so
+#: the contended phase is traced too.
+_TRACE_TIMELINE = Timeline(1 / 36)
+
+
 def _capture_trace(system, cca, capacity_bps, queue_mult, seed) -> str:
     buffer = io.StringIO()
     tracer = Tracer(JsonlSink(buffer))
@@ -70,7 +75,7 @@ def _capture_trace(system, cca, capacity_bps, queue_mult, seed) -> str:
             queue_mult=queue_mult,
             cca=cca,
             seed=seed,
-            timeline=SMOKE,
+            timeline=_TRACE_TIMELINE,
         ),
         tracer=tracer,
     )
