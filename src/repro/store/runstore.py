@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,11 @@ __all__ = ["RunStore", "StoreVersionError"]
 #: RunResult fields held as arrays in ``arrays.npz`` (everything else
 #: lives in ``meta.json``).
 _ARRAY_FIELDS = ("times", "game_bps", "iperf_bps", "rtt_samples", "target_log")
+
+#: What reading an unusable object raises: a missing or unreadable file,
+#: bad JSON, an absent array, and -- from ``np.load`` on a torn or empty
+#: ``arrays.npz`` -- ``BadZipFile`` and ``EOFError``.
+_UNREADABLE = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 
 
 class StoreVersionError(RuntimeError):
@@ -135,7 +141,7 @@ class RunStore:
             with np.load(obj / "arrays.npz") as npz:
                 for name in _ARRAY_FIELDS:
                     data[name] = npz[name]
-        except (OSError, ValueError, KeyError):
+        except _UNREADABLE:
             return None
         return RunResult.from_dict(data)
 
@@ -253,7 +259,7 @@ class RunStore:
                 with np.load(obj / "arrays.npz") as npz:
                     for name in _ARRAY_FIELDS:
                         npz[name]
-            except (OSError, ValueError, KeyError) as exc:
+            except _UNREADABLE as exc:
                 problems.append(f"{fp}: unreadable object ({exc})")
                 continue
             recomputed = _fingerprint_of_meta(meta)

@@ -47,6 +47,7 @@ from repro.store.fingerprint import canonical_json
 from repro.store.runstore import (
     RunStore,
     _ARRAY_FIELDS,
+    _UNREADABLE,
     _atomic_write_text,
     _fingerprint_of_meta,
 )
@@ -196,7 +197,7 @@ def _payloads_equal(a_meta_raw: bytes, a_npz_raw: bytes,
             for name in _ARRAY_FIELDS:
                 if not np.array_equal(a_npz[name], b_npz[name]):
                     return False
-    except (OSError, ValueError, KeyError):
+    except _UNREADABLE:
         return False
     return True
 

@@ -7,11 +7,11 @@
   server behind a shared bottleneck (rate-limited link + drop-tail or
   AQM queue), per-flow delay equalisation to ~16.5 ms RTT, capture taps.
 - :mod:`repro.testbed.iperf` -- the bulk-download TCP competitor.
-- :mod:`repro.testbed.capture` -- Wireshark-style packet trace records.
+- :mod:`repro.testbed.capture` -- Wireshark-style per-flow packet capture.
 - :mod:`repro.testbed.ping` -- the RTT probe running alongside the game.
 """
 
-from repro.testbed.capture import PacketCapture, TraceRecord
+from repro.testbed.capture import PacketCapture
 from repro.testbed.iperf import IperfFlow
 from repro.testbed.ping import PingProber
 from repro.testbed.tc import RouterConfig, bdp_bytes, queue_limit_bytes, render_tc_script
@@ -23,7 +23,6 @@ __all__ = [
     "PacketCapture",
     "PingProber",
     "RouterConfig",
-    "TraceRecord",
     "bdp_bytes",
     "queue_limit_bytes",
     "render_tc_script",

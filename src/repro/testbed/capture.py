@@ -2,36 +2,27 @@
 
 The paper captures the game stream at the router and the iperf flow at
 the client, then computes per-0.5 s bitrates from the traces.  Our
-capture is a tap observer that appends ``(time, flow, size, kind)``
-records; per-flow arrays are kept separately so bitrate binning is a
-cheap numpy pass.
+capture is a tap observer that records, per flow, each packet's arrival
+time and size in two typed buffers (``array('d')`` and ``array('q')``:
+16 bytes per packet, no Python object per packet), so bitrate binning
+is a cheap numpy pass over float64 copies of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 
 import numpy as np
 
-__all__ = ["PacketCapture", "TraceRecord"]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One captured packet."""
-
-    time: float
-    flow: str
-    size: int
-    kind: str
+__all__ = ["PacketCapture"]
 
 
 class _FlowTrace:
     __slots__ = ("times", "sizes")
 
     def __init__(self) -> None:
-        self.times: list[float] = []
-        self.sizes: list[int] = []
+        self.times = array("d")
+        self.sizes = array("q")
 
 
 class PacketCapture:
@@ -46,18 +37,15 @@ class PacketCapture:
         self._flows: dict[str, _FlowTrace] = {}
 
     def tap(self, pkt) -> None:
-        trace = self._flows.get(pkt.flow)
-        if trace is None:
-            trace = _FlowTrace()
-            self._flows[pkt.flow] = trace
+        trace = self.flow_trace(pkt.flow)
         trace.times.append(self.sim.now)
         trace.sizes.append(pkt.size)
 
     def flow_trace(self, flow: str) -> _FlowTrace:
-        """The per-flow record lists, created on demand.
+        """The per-flow record buffers, created on demand.
 
         Fused arrival paths append to ``times``/``sizes`` directly (one
-        list append each) instead of routing every packet through
+        C-level append each) instead of routing every packet through
         :meth:`tap`; the records are identical either way.
         """
         trace = self._flows.get(flow)
@@ -80,11 +68,18 @@ class PacketCapture:
         return sum(trace.sizes) if trace else 0
 
     def arrays(self, flow: str) -> tuple[np.ndarray, np.ndarray]:
-        """(times, sizes) arrays for a flow; empty arrays if unseen."""
+        """(times, sizes) float64 arrays for a flow; empty if unseen.
+
+        Both are copies: the capture's buffers stay appendable (a live
+        view would pin them with a ``BufferError`` on the next append).
+        """
         trace = self._flows.get(flow)
         if trace is None:
             return np.empty(0), np.empty(0)
-        return np.asarray(trace.times), np.asarray(trace.sizes, dtype=float)
+        return (
+            np.array(trace.times, dtype=np.float64),
+            np.array(trace.sizes, dtype=np.float64),
+        )
 
     def bitrate_series(
         self, flow: str, t_start: float, t_end: float, bin_width: float = 0.5

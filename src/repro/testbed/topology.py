@@ -53,7 +53,7 @@ class _ClientIngress:
     that chain costs five frames per packet (observer, capture.tap,
     registry lookup, FlowStats.on_receive, Demux.receive), and every
     downlink packet of every flow pays it.  This sink interns, per
-    flow, the capture list appenders, the flow's counter object and the
+    flow, the capture buffer appenders, the flow's counter object and the
     routed endpoint's ``receive``, then does the whole arrival in one
     call.  Counters, capture records and routing semantics are
     identical to the unfused chain.

@@ -51,6 +51,17 @@ def make_result(config) -> RunResult:
     )
 
 
+#: What a torn ``arrays.npz`` write can leave: a prefix, or nothing.
+TORN = ("truncated", "empty")
+
+
+def tear_arrays(store, fp, how) -> None:
+    """Cut one object's ``arrays.npz`` to half its bytes, or to none."""
+    path = store._object_dir(fp) / "arrays.npz"
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2] if how == "truncated" else b"")
+
+
 @pytest.fixture
 def store(tmp_path):
     return RunStore(tmp_path / "store")
@@ -143,6 +154,22 @@ class TestVerifyGc:
         (store._object_dir(fp) / "arrays.npz").write_bytes(b"not an npz")
         problems = store.verify()
         assert any("unreadable" in p for p in problems)
+
+    @pytest.mark.parametrize("how", TORN)
+    def test_torn_npz_reported(self, store, how):
+        config = make_config()
+        fp = store.put(config, make_result(config))
+        tear_arrays(store, fp, how)
+        (problem,) = store.verify()
+        assert problem.startswith(f"{fp}: unreadable object")
+
+    @pytest.mark.parametrize("how", TORN)
+    def test_torn_npz_reads_as_miss(self, store, how):
+        config = make_config()
+        fp = store.put(config, make_result(config))
+        tear_arrays(store, fp, how)
+        assert store.get(config) is None
+        assert store.get_fp(fp) is None
 
     def test_tampered_metadata_reported(self, store):
         config = make_config()

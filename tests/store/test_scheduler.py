@@ -13,7 +13,7 @@ from repro.obs.trace import MemorySink, Tracer
 from repro.store import CampaignError, CampaignScheduler, RunStore
 from repro.store.scheduler import campaign_id
 
-from tests.store.test_runstore import make_config, make_result
+from tests.store.test_runstore import TORN, make_config, make_result, tear_arrays
 
 
 def _configs(n):
@@ -84,6 +84,24 @@ class TestCacheFirst:
         assert sorted(executed) == [0, 2]
         # ... and the fresh results were persisted for next time.
         assert all(config in store for config in configs)
+
+    @pytest.mark.parametrize("how", TORN)
+    def test_torn_object_reruns(self, tmp_path, how):
+        store = RunStore(tmp_path)
+        configs = _configs(2)
+        for config in configs:
+            store.put(config, make_result(config))
+        tear_arrays(store, store.fingerprint(configs[0]), how)
+        executed = []
+
+        def runner(config):
+            executed.append(config.seed)
+            return make_result(config)
+
+        report = CampaignScheduler(store=store, run_fn=runner).run(configs)
+        assert executed == [0]
+        assert report.cache_hits == 1
+        assert store.get(configs[0]) is not None  # healed by the re-run
 
     def test_no_cache_forces_execution(self, tmp_path):
         store = RunStore(tmp_path)

@@ -9,7 +9,7 @@ import pytest
 from repro.store import RunStore, StoreIndex
 from repro.store.sync import merge_stores, pull_store, push_store
 
-from tests.store.test_runstore import make_config, make_result
+from tests.store.test_runstore import TORN, make_config, make_result, tear_arrays
 
 
 @pytest.fixture
@@ -85,6 +85,15 @@ class TestMergeUnion:
         src.put(config, dataclasses.replace(
             result, game_bps=result.game_bps * 2.0
         ))
+        report = merge_stores(dst, src)
+        assert report.conflicts == [fp]
+
+    @pytest.mark.parametrize("how", TORN)
+    def test_torn_destination_object_is_conflict(self, dst, src, how):
+        config = make_config()
+        fp = dst.put(config, make_result(config))
+        src.put(config, make_result(config))
+        tear_arrays(dst, fp, how)
         report = merge_stores(dst, src)
         assert report.conflicts == [fp]
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.store.test_runstore import TORN, make_config, make_result, tear_arrays
 
 
 def test_run_command_prints_summary(capsys):
@@ -216,6 +217,18 @@ def test_store_verify_reports_corruption(tmp_path, capsys):
     (store._object_dir(fp) / "arrays.npz").unlink()
     assert main(["store", "verify", store_dir]) == 1
     assert "missing arrays.npz" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("how", TORN)
+def test_store_verify_reports_torn_object(tmp_path, capsys, how):
+    from repro.store import RunStore
+
+    store = RunStore(tmp_path / "store")
+    config = make_config()
+    fp = store.put(config, make_result(config))
+    tear_arrays(store, fp, how)
+    assert main(["store", "verify", str(store.root)]) == 1
+    assert f"{fp}: unreadable object" in capsys.readouterr().out
 
 
 def test_run_with_store_caches(tmp_path, capsys):
