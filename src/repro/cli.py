@@ -518,7 +518,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             return 2
         store = _open_store(args.store)
-        results = run_single(_make_config(args), store=store, seeds=args.seeds)
+        results = [
+            run_single(_make_config(args, seed), store=store)
+            for seed in args.seeds
+        ]
         if args.json:
             print(json.dumps([result.to_dict() for result in results]))
             return 0
@@ -858,10 +861,11 @@ def _remote_statuses(args: argparse.Namespace) -> list[dict] | None:
     applies unchanged; ``--history`` pulls the per-campaign trail.
     """
     from repro.dist.service import fetch_campaign, fetch_status
+    from repro.dist.transport import TransportError
 
     try:
         snapshot = fetch_status(args.url)
-    except (OSError, ValueError) as exc:
+    except TransportError as exc:
         print(f"error: cannot read {args.url}: {exc}", file=sys.stderr)
         return None
     campaigns = [
@@ -876,7 +880,7 @@ def _remote_statuses(args: argparse.Namespace) -> list[dict] | None:
             try:
                 detail = fetch_campaign(args.url, c["campaign_id"])
                 records = detail.get("records") or records
-            except (OSError, ValueError):
+            except TransportError:
                 pass  # trail is best-effort; the summary line still renders
         statuses.append({
             "campaign_id": c["campaign_id"], "last": c["last"],

@@ -62,6 +62,7 @@ __all__ = [
     "QueueError",
     "Shard",
     "ShardQueue",
+    "check_id",
     "config_from_identity",
     "default_worker_id",
 ]
@@ -72,6 +73,25 @@ QUEUE_FORMAT = 1
 
 class QueueError(RuntimeError):
     """A queue directory is missing, torn, or from another format."""
+
+
+def check_id(kind: str, value) -> str:
+    """Return ``value`` if it may name a ``kind`` (shard or worker) file.
+
+    Queue ids become file names (``workers/<worker>.json``,
+    ``claimed/<shard>.lease.json``, ...), so an id must be one plain
+    name: a non-empty string with no path separator, no NUL and no
+    leading dot.  A shard id has no dot at all: that is how
+    :meth:`ShardQueue._shard_files` tells shard files from their
+    sidecars.  Raises ``ValueError`` otherwise.
+    """
+    if (
+        not isinstance(value, str) or not value or value.startswith(".")
+        or any(c in value for c in "/\\\0")
+        or (kind == "shard" and "." in value)
+    ):
+        raise ValueError(f"bad {kind} id {value!r}")
+    return value
 
 
 def default_worker_id() -> str:
@@ -188,9 +208,7 @@ class ShardQueue:
             d.mkdir(parents=True, exist_ok=True)
         shard_runs = {}
         for shard in shards:
-            sid = shard["shard"]
-            if "." in sid or "/" in sid:
-                raise ValueError(f"bad shard id {sid!r}")
+            sid = check_id("shard", shard["shard"])
             shard_runs[sid] = len(shard["fingerprints"])
             _atomic_write_text(
                 queue.pending_dir / f"{sid}.json", json.dumps(shard)

@@ -32,9 +32,9 @@ distinguishes unknown campaigns/objects/routes, a 400 rejects malformed
 requests, and a 500 carries only the exception *type*, never a message
 that could leak filesystem paths to a remote caller.  A per-connection
 socket timeout bounds how long a stalled client can pin a handler
-thread.  :func:`fetch_status` is the read client half, which
-``repro-gsnet status --url`` uses; the worker's write client is
-:class:`repro.dist.transport.HttpTransport`.
+thread.  The one client is :class:`repro.dist.transport.HttpTransport`:
+workers drive the lease protocol through it, and :func:`fetch_status`
+(what ``repro-gsnet status --url`` reads) is a GET through it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.store.heartbeat import load_heartbeat
@@ -54,12 +53,8 @@ from repro.store.sync import (
 )
 
 from repro.dist.coordinator import queue_root
-from repro.dist.queue import QueueError, ShardQueue
-from repro.dist.transport import (
-    FileTransport,
-    TransportError,
-    normalize_service_url,
-)
+from repro.dist.queue import QueueError, ShardQueue, check_id
+from repro.dist.transport import FileTransport, HttpTransport, TransportError
 
 __all__ = [
     "CampaignService",
@@ -308,8 +303,14 @@ class _Handler(BaseHTTPRequestHandler):
             return
         payload = self._json_body()
         worker = payload.pop("worker", None)
-        if not isinstance(worker, str) or not worker:
-            raise _BadRequest("body needs a 'worker' id")
+        try:
+            # Ids become file names in the queue: check them before any
+            # verb can touch a file.
+            check_id("worker", worker)
+            if action not in ("claim", "beat"):
+                check_id("shard", payload.get("shard"))
+        except ValueError as exc:
+            raise _BadRequest(str(exc))
         if not _CID_RE.fullmatch(cid):
             raise QueueError(f"campaign {cid!r} has no queue")
         transport = FileTransport(self.store, clock=self.server.clock)  # type: ignore[attr-defined]
@@ -337,9 +338,7 @@ class _Handler(BaseHTTPRequestHandler):
         if action == "beat":
             transport.beat(cid, worker, **payload)
             return {"ok": True}
-        shard_id = payload.get("shard")
-        if not isinstance(shard_id, str) or not shard_id:
-            raise _BadRequest("body needs a 'shard' id")
+        shard_id = payload["shard"]
         if action == "renew":
             return {"ok": transport.renew(cid, shard_id, worker)}
         if action == "complete":
@@ -435,20 +434,16 @@ class CampaignService:
             self._thread = None
 
 
-def _get_json(url: str, timeout_s: float) -> dict:
-    with urllib.request.urlopen(url, timeout=timeout_s) as response:
-        return json.loads(response.read().decode())
-
-
 def fetch_status(url: str, timeout_s: float = 5.0) -> dict:
     """GET a service's ``/status`` document (client half of ``--url``).
 
     Accepts a bare ``host:port``, a service root, or the full
-    ``/status`` URL.
+    ``/status`` URL.  Any failure raises
+    :class:`~repro.dist.transport.TransportError`.
     """
-    return _get_json(normalize_service_url(url) + "/status", timeout_s)
+    return HttpTransport(url, timeout_s=timeout_s).get("/status")
 
 
 def fetch_campaign(url: str, cid: str, timeout_s: float = 5.0) -> dict:
     """GET one campaign's detail document (heartbeat trail included)."""
-    return _get_json(f"{normalize_service_url(url)}/campaigns/{cid}", timeout_s)
+    return HttpTransport(url, timeout_s=timeout_s).get(f"/campaigns/{cid}")

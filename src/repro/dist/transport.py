@@ -26,6 +26,7 @@ import json
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPException
 
 from repro.store.sync import pack_object, unpack_object
 
@@ -52,8 +53,13 @@ class TransportError(RuntimeError):
     Deliberately transient in spirit: the worker loop treats it as
     "nothing claimable this scan" and retries, because a coordinator
     restart must not kill the fleet (the queue directory is the state;
-    the service holds none).
+    the service holds none).  ``status`` is the HTTP status of an error
+    reply, or None when no well-formed reply came back.
     """
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
 
 
 def normalize_service_url(url: str) -> str:
@@ -181,11 +187,11 @@ class HttpTransport:
                  content_type: str = "application/json",
                  timeout_s: float | None = None,
                  raw: bool = False):
-        request = urllib.request.Request(
-            self.base + path, data=body, method=method,
-            headers={"Content-Type": content_type} if body is not None else {},
-        )
         try:
+            request = urllib.request.Request(
+                self.base + path, data=body, method=method,
+                headers={"Content-Type": content_type} if body is not None else {},
+            )
             with urllib.request.urlopen(
                 request, timeout=timeout_s or self.timeout_s
             ) as response:
@@ -193,9 +199,13 @@ class HttpTransport:
         except urllib.error.HTTPError as exc:
             detail = self._error_body(exc)
             raise TransportError(
-                f"{method} {path}: HTTP {exc.code} {detail}".rstrip()
+                f"{method} {path}: HTTP {exc.code} {detail}".rstrip(),
+                status=exc.code,
             ) from exc
-        except (urllib.error.URLError, OSError) as exc:
+        except (OSError, HTTPException, ValueError) as exc:
+            # Besides socket errors: a peer that does not speak HTTP or
+            # cuts its reply short (HTTPException), and a URL that does
+            # not parse (ValueError).
             raise TransportError(f"{method} {path}: {exc}") from exc
         if raw:
             return data
@@ -209,10 +219,11 @@ class HttpTransport:
         try:
             payload = json.loads(exc.read().decode())
             return str(payload.get("error", ""))
-        except (OSError, ValueError):
+        except (OSError, ValueError, HTTPException):
             return ""
 
-    def _get(self, path: str, **kwargs):
+    def get(self, path: str, **kwargs):
+        """GET one service document (``raw=True``: its bytes)."""
         return self._request("GET", path, **kwargs)
 
     def _post(self, path: str, payload: dict) -> dict:
@@ -224,7 +235,7 @@ class HttpTransport:
     # The queue protocol
     # ------------------------------------------------------------------
     def campaigns(self) -> list[str]:
-        snapshot = self._get("/status")
+        snapshot = self.get("/status")
         return [
             c["campaign_id"] for c in snapshot.get("campaigns", [])
             if c.get("queue") is not None
@@ -272,13 +283,13 @@ class HttpTransport:
     def ttl_s(self, cid: str) -> float:
         ttl = self._ttl.get(cid)
         if ttl is None:
-            spec = self._get(f"/campaigns/{cid}/spec")
+            spec = self.get(f"/campaigns/{cid}/spec")
             ttl = float(spec.get("ttl_s", 60.0))
             self._ttl[cid] = ttl
         return ttl
 
     def status(self, cid: str) -> dict:
-        return self._get(f"/campaigns/{cid}/queue")
+        return self.get(f"/campaigns/{cid}/queue")
 
     def drained(self, cid: str) -> bool:
         status = self.status(cid)
@@ -290,10 +301,10 @@ class HttpTransport:
     def pull_object(self, fp: str):
         """Fetch one object bundle, or None when the server lacks it."""
         try:
-            data = self._get(f"/objects/{fp}", raw=True,
-                             timeout_s=self.object_timeout_s)
+            data = self.get(f"/objects/{fp}", raw=True,
+                            timeout_s=self.object_timeout_s)
         except TransportError as exc:
-            if "HTTP 404" in str(exc):
+            if exc.status == 404:
                 return None
             raise
         try:
@@ -313,7 +324,7 @@ class HttpTransport:
                 timeout_s=self.object_timeout_s,
             )
         except TransportError as exc:
-            if "HTTP 409" in str(exc):
+            if exc.status == 409:
                 return "conflict"
             raise
         return str(doc.get("status", "stored"))

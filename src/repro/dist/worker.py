@@ -173,8 +173,8 @@ class DistWorker:
         inner_workers: process-pool width per shard (the existing
             scheduler's ``workers``).
         seed_batch: group up to this many same-condition seeds of a
-            shard into one dispatch unit (in-process multi-seed
-            execution; see :mod:`repro.experiments.multirun`).
+            shard into one dispatch unit, run one after the other in
+            one task (the scheduler's ``seed_batch``).
         retries/timeout: per-run semantics, passed to the scheduler.
         chaos: optional :class:`ChaosSpec` (or spec string) wrapped
             around ``run_fn``, same as ``campaign --chaos``.

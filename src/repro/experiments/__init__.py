@@ -9,10 +9,8 @@
 - :mod:`repro.experiments.runner` -- run one configuration, extract a
   :class:`~repro.experiments.results.RunResult`.
 - :mod:`repro.experiments.campaign` -- run grids of conditions with
-  multiple iterations (aggregated per condition by
-  :func:`repro.report.aggregate`).
-- :mod:`repro.experiments.multirun` -- in-process multi-seed execution
-  sharing one topology build per condition.
+  multiple iterations, one seed per iteration (aggregated per condition
+  by :func:`repro.report.aggregate_results`).
 """
 
 from repro.experiments.campaign import Campaign
@@ -25,7 +23,6 @@ from repro.experiments.conditions import (
     striped_order,
 )
 from repro.experiments.config import RunConfig
-from repro.experiments.multirun import run_condition_batch, run_seeds
 from repro.experiments.profiles import PAPER, QUICK, SMOKE, Timeline
 from repro.experiments.results import RunResult
 from repro.experiments.runner import RunTimeout, run_single
@@ -44,8 +41,6 @@ __all__ = [
     "SYSTEM_NAMES",
     "Timeline",
     "condition_grid",
-    "run_condition_batch",
-    "run_seeds",
     "run_single",
     "striped_order",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 from repro.experiments.config import RunConfig
 from repro.experiments.results import RunResult
 from repro.experiments.runner import run_single
-from repro.obs.trace import NULL_TRACER
 from repro.store.chaos import ChaosRunner, ChaosSpec
 from repro.store.scheduler import CampaignScheduler
 
@@ -39,41 +38,18 @@ class Campaign:
     """Execute a set of runs through the campaign scheduler.
 
     Args:
-        workers: how many runs may be outstanding at once: the
-            process-pool width, or 1 to run in this process.
         progress: optional callback ``(done, total, label, wall_s)``
             invoked after each run completes (completion order).
-        store: optional :class:`~repro.store.runstore.RunStore`; runs
-            already stored are served from cache and new results are
-            persisted as they complete, so a re-run or an interrupted
-            campaign only executes what is missing.
-        retries: extra attempts per failing run (capped exponential
-            backoff between attempts).
-        timeout: per-run wall-clock budget in seconds; a run exceeding
-            it aborts cooperatively (or, still running in a pool worker
-            at the deadline, is killed) and is retried like any other
-            failure.
-        partial: record persistently failing configs in
-            :attr:`failures` instead of aborting the campaign.
-        use_cache: set False to force re-simulation even with a store
-            (fresh results still overwrite the stored ones).
-        resume: report configs the campaign checkpoint records as
-            permanently failed instead of re-executing them.
-        tracer: optional tracepoint bus for scheduler events
-            (``store.hit``/``store.miss``/``sched.*``).
         chaos: optional :class:`~repro.store.chaos.ChaosSpec` (or spec
             string) wrapping execution in deterministic fault
             injection -- for soak tests, never for real measurements.
-        backoff_base: first retry delay, seconds (doubles per attempt).
-        backoff_cap: upper bound on any single retry delay.
-        heartbeat_interval: minimum seconds between live-progress
-            records appended to the store's campaign heartbeat (see
-            :mod:`repro.store.heartbeat`); ``None`` disables it.
-        seed_batch: group up to this many same-condition seeds into one
-            dispatch unit executed in one process (see
-            :mod:`repro.experiments.multirun`).  Store
-            writes and fingerprints stay per run; results and
-            aggregates are byte-identical to per-run dispatch.
+        **options: passed through to the
+            :class:`~repro.store.scheduler.CampaignScheduler` built
+            here, which documents them (``workers``, ``store``,
+            ``retries``, ``timeout``, ``partial``, ``use_cache``,
+            ``resume``, ``seed_batch``, ...); a bad one raises at
+            construction.  ``on_result`` and ``run_fn`` are the
+            campaign's own.
 
     A ``KeyboardInterrupt`` during execution is absorbed by the
     scheduler: :attr:`report` comes back partial with
@@ -81,41 +57,33 @@ class Campaign:
     where the campaign stopped.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        progress=None,
-        store=None,
-        retries: int = 0,
-        timeout: float | None = None,
-        partial: bool = False,
-        use_cache: bool = True,
-        resume: bool = False,
-        tracer=NULL_TRACER,
-        chaos: "ChaosSpec | str | None" = None,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
-        heartbeat_interval: float | None = 1.0,
-        seed_batch: int = 1,
-    ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+    def __init__(self, *, progress=None,
+                 chaos: "ChaosSpec | str | None" = None, **options):
         self.progress = progress
-        self.store = store
-        self.retries = retries
-        self.timeout = timeout
-        self.partial = partial
-        self.use_cache = use_cache
-        self.resume = resume
-        self.tracer = tracer
         self.chaos = ChaosSpec.parse(chaos) if isinstance(chaos, str) else chaos
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.heartbeat_interval = heartbeat_interval
-        self.seed_batch = seed_batch
         #: Per-run (label, wall seconds), in completion order.
         self.wall_times: list[tuple[str, float]] = []
+        wall_times = self.wall_times
+
+        # A closure, not a bound method: the scheduler lives as long as
+        # the campaign, and a callback holding the campaign would make
+        # the pair a reference cycle that keeps a dropped campaign's
+        # results in memory until the cyclic collector runs.
+        def finish_run(result: RunResult, done: int, total: int,
+                       cached: bool) -> None:
+            label = Campaign._label(result)
+            wall_times.append((label, result.wall_time_s))
+            if progress is not None:
+                progress(done, total, label, result.wall_time_s)
+
+        run_fn = run_single
+        if self.chaos is not None:
+            run_fn = ChaosRunner(run_single, self.chaos)
+        self._scheduler = CampaignScheduler(
+            on_result=finish_run, run_fn=run_fn, **options
+        )
+        #: The run store results are served from and written to, if any.
+        self.store = self._scheduler.store
         #: The last run's scheduler report: results in completion
         #: order, cache hits, retries, failures, ...
         self.report = None
@@ -136,26 +104,7 @@ class Campaign:
         :class:`~repro.store.scheduler.CampaignError` unless
         ``partial=True``, in which case it lands in :attr:`failures`.
         """
-        run_fn = run_single
-        if self.chaos is not None:
-            run_fn = ChaosRunner(run_single, self.chaos)
-        scheduler = CampaignScheduler(
-            workers=self.workers,
-            store=self.store,
-            retries=self.retries,
-            timeout=self.timeout,
-            partial=self.partial,
-            use_cache=self.use_cache,
-            resume=self.resume,
-            tracer=self.tracer,
-            on_result=self._finish_run,
-            run_fn=run_fn,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
-            heartbeat_interval=self.heartbeat_interval,
-            seed_batch=self.seed_batch,
-        )
-        self.report = scheduler.run(configs)
+        self.report = self._scheduler.run(configs)
         return self
 
     @property
@@ -163,10 +112,3 @@ class Campaign:
         """Persistent failures from the last ``run`` (partial mode)."""
         return [] if self.report is None else self.report.failures
 
-    def _finish_run(
-        self, result: RunResult, done: int, total: int, cached: bool
-    ) -> None:
-        label = self._label(result)
-        self.wall_times.append((label, result.wall_time_s))
-        if self.progress is not None:
-            self.progress(done, total, label, result.wall_time_s)

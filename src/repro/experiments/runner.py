@@ -42,7 +42,6 @@ def run_single(
     store=None,
     timeout_s: float | None = None,
     max_events: int | None = None,
-    seeds=None,
 ) -> RunResult:
     """Execute one run and return its measurements.
 
@@ -67,52 +66,14 @@ def run_single(
         max_events: like ``timeout_s`` but bounding the number of
             dispatched simulation events (a runaway-run backstop that
             is deterministic across hosts).
-        seeds: optional list of seeds; runs every seed of this
-            condition in-process, one after the other (see
-            :mod:`repro.experiments.multirun`), and returns a **list**
-            of results instead of one.  Incompatible with the per-run
-            observers (tracer/metrics/profiler), which bind to a single
-            testbed.
     """
-    if seeds is not None:
-        if tracer is not None or metrics is not None or sim_profiler is not None:
-            raise ValueError(
-                "seeds batching cannot carry per-run observers; "
-                "run each seed individually to trace or profile it"
-            )
-        from repro.experiments.multirun import run_seeds
-
-        return run_seeds(
-            config, seeds,
-            store=store, timeout_s=timeout_s, max_events=max_events,
-        )
     if store is not None:
         observed = tracer is not None or metrics is not None or sim_profiler is not None
         if not observed:
             cached = store.get(config)
             if cached is not None:
                 return cached
-    return _execute(
-        config, tracer, metrics, sim_profiler, store, timeout_s,
-        max_events, perf_counter(),
-    )
-
-
-def _execute(
-    config: RunConfig,
-    tracer: Tracer | None,
-    metrics: MetricsRecorder | None,
-    sim_profiler: SimProfiler | None,
-    store,
-    timeout_s: float | None,
-    max_events: int | None,
-    wall_start: float,
-) -> RunResult:
-    """Build the testbed, run the timeline, collect the result.
-
-    The cache-bypass core of :func:`run_single` (and of each seed of a
-    :mod:`~repro.experiments.multirun` batch).
-    """
+    wall_start = perf_counter()
     timeline = config.timeline
     testbed = GameStreamingTestbed(
         config.system,

@@ -219,8 +219,8 @@ class _Pending:
     """One dispatch unit: a single run, or a seed batch of one condition.
 
     Retry/timeout/free-pass accounting is per dispatch unit -- a failed
-    batch is retried whole (completed seeds are served from the store
-    cache on the retry, so nothing is recomputed twice).
+    batch is retried whole (its results reach the store only when the
+    whole batch returns).
     """
 
     configs: list
@@ -246,16 +246,17 @@ class _Pending:
 def _run_batch(run_fn, configs: list, kwargs: dict) -> list:
     """Execute one seed batch in a single task (top level: picklable).
 
-    The stock :func:`~repro.experiments.runner.run_single` executor is
-    routed through :func:`~repro.experiments.multirun.run_condition_batch`
-    so ``timeout_s`` is one budget for the whole batch; any substitute
-    ``run_fn`` (test fakes, chaos wrappers) is simply invoked per config.
+    The configs run in order, one ``run_fn`` call each.  A ``timeout_s``
+    budget covers the whole batch: each run gets what is left of it, so
+    a seed that overruns leaves its successors less time, never more.
     """
-    if run_fn is run_single:
-        from repro.experiments.multirun import run_condition_batch
-
-        return run_condition_batch(configs, **kwargs)
-    return [run_fn(config, **kwargs) for config in configs]
+    if "timeout_s" not in kwargs:
+        return [run_fn(config, **kwargs) for config in configs]
+    deadline = time.perf_counter() + kwargs["timeout_s"]
+    return [
+        run_fn(config, **{**kwargs, "timeout_s": deadline - time.perf_counter()})
+        for config in configs
+    ]
 
 
 class CampaignScheduler:
@@ -301,14 +302,12 @@ class CampaignScheduler:
         seed_batch: dispatch unit size.  With ``seed_batch > 1``,
             cache-missing configs that share a condition (identity
             minus seed) are grouped into batches of up to this many
-            runs and each batch executes as **one** task -- in-process
-            multi-seed execution via
-            :mod:`repro.experiments.multirun` when ``run_fn`` is the
-            stock :func:`~repro.experiments.runner.run_single`.  Store
-            writes, fingerprints, and checkpoint marks stay per run;
-            per-run ``timeout`` budgets are multiplied by the batch
-            size.  Retries re-dispatch the whole batch (already-stored
-            seeds are then cache hits inside the batch).
+            runs and each batch executes as **one** task: ``run_fn``
+            is called once per config, in order (see
+            :func:`_run_batch`).  Store writes, fingerprints, and
+            checkpoint marks stay per run; a batch's ``timeout`` budget
+            is the per-run budget times its size, shared by its runs.
+            Retries re-dispatch the whole batch.
     """
 
     def __init__(
@@ -538,11 +537,6 @@ class CampaignScheduler:
                 batched.append(item)
         return batched
 
-    @staticmethod
-    def _as_results(item: _Pending, raw) -> list:
-        """Normalise a dispatch return to one-result-per-config."""
-        return raw if len(item.configs) > 1 else [raw]
-
     def _new_executor(self):
         if self.workers == 1:
             return _InlineExecutor()
@@ -602,9 +596,9 @@ class CampaignScheduler:
                     item.deadline = None
                     casualties.append(item)
             inflight.clear()
-            for item, raw in finished:
+            for item, results in finished:
                 self._emit("sched.done", fp=item.fingerprint)
-                yield item, self._as_results(item, raw), None
+                yield item, results, None
             for item in casualties:
                 if expired is None:
                     exc = WorkerCrash(
@@ -654,15 +648,10 @@ class CampaignScheduler:
                         attempt=item.attempts, label=item.label,
                     )
                     try:
-                        kwargs = self._call_kwargs(item)
-                        if len(item.configs) == 1:
-                            future = pool.submit(
-                                self.run_fn, item.configs[0], **kwargs
-                            )
-                        else:
-                            future = pool.submit(
-                                _run_batch, self.run_fn, item.configs, kwargs
-                            )
+                        future = pool.submit(
+                            _run_batch, self.run_fn, item.configs,
+                            self._call_kwargs(item),
+                        )
                     except BrokenProcessPool:
                         # The pool died between collections (e.g. a
                         # worker crashed while idle).  Undo the charge,
@@ -719,7 +708,7 @@ class CampaignScheduler:
                     exc = future.exception()
                     if exc is None:
                         self._emit("sched.done", fp=item.fingerprint)
-                        yield item, self._as_results(item, future.result()), None
+                        yield item, future.result(), None
                     elif isinstance(exc, BrokenProcessPool):
                         # Handled wholesale below so the rebuild sees one
                         # consistent in-flight set.
@@ -765,8 +754,8 @@ class CampaignScheduler:
     def _call_kwargs(self, item: _Pending) -> dict:
         kwargs = {}
         if self.timeout is not None and "timeout_s" in self._run_kwargs:
-            # A batch gets the per-run budget times its size; the batch
-            # runner re-measures the remaining budget before each seed.
+            # A batch gets the per-run budget times its size, and
+            # _run_batch hands each of its runs what is left of it.
             kwargs["timeout_s"] = self.timeout * len(item.configs)
         if "attempt" in self._run_kwargs:
             kwargs["attempt"] = item.attempts

@@ -18,6 +18,7 @@ from repro.dist.service import (
     service_snapshot,
     workers_snapshot,
 )
+from repro.dist.transport import TransportError
 from repro.store import RunStore
 from repro.store.heartbeat import CampaignHeartbeat
 
@@ -100,9 +101,9 @@ class TestHTTP:
         assert payload["queue"]["total_runs"] == 3
 
     def test_unknown_campaign_404(self, store, service):
-        with pytest.raises(urllib.error.HTTPError) as err:
+        with pytest.raises(TransportError) as err:
             fetch_campaign(service.url, "deadbeef")
-        assert err.value.code == 404
+        assert err.value.status == 404
 
     def test_unknown_route_404_lists_routes(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
@@ -241,6 +242,41 @@ class TestQueueAPI:
               {"worker": "w9", "runs": 3})
         workers = ShardQueue.open(queue_root(store, cid)).workers()
         assert any(w["worker"] == "w9" and w["runs"] == 3 for w in workers)
+
+    @pytest.mark.parametrize("action, body", [
+        ("beat", {"worker": "../../../../../outside"}),
+        ("complete", {"worker": "w", "shard": "../../../../../victim",
+                      "info": {"x": 1}}),
+        ("renew", {"worker": "w", "shard": "../../../../../victim"}),
+        ("fail", {"worker": "w", "shard": "..", "error": "boom"}),
+        ("claim", {"worker": ".hidden"}),
+    ], ids=["beat", "complete", "renew", "fail", "claim"])
+    def test_id_that_is_not_a_plain_name_is_400(
+        self, tmp_path, store, service, action, body
+    ):
+        # Worker and shard ids become file names under the queue; one
+        # that walks out of it is refused before any verb runs.
+        cid = self.enqueue(store)
+        (tmp_path / "victim.json").write_text("{}")
+        outside = sorted(p.name for p in tmp_path.iterdir())
+        queue = ShardQueue.open(queue_root(store, cid))
+        before = queue.status()
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(f"{service.url}/campaigns/{cid}/{action}", body)
+        assert err.value.code == 400
+        assert "bad" in json.loads(err.value.read().decode())["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == outside
+        assert queue.status() == before
+        assert queue.workers() == []
+
+    def test_dotted_worker_id_is_a_plain_name(self, store, service):
+        # Host names carry dots, and so do default worker ids.
+        cid = self.enqueue(store)
+        doc = _post(f"{service.url}/campaigns/{cid}/beat",
+                    {"worker": "node1.example.org-42"})
+        assert doc == {"ok": True}
+        workers = ShardQueue.open(queue_root(store, cid)).workers()
+        assert [w["worker"] for w in workers] == ["node1.example.org-42"]
 
     def test_spec_and_queue_routes(self, store, service):
         cid = self.enqueue(store, n=2)

@@ -1,6 +1,9 @@
 """Tests for the pluggable queue transports and the no-shared-filesystem
 worker deployment (claim over HTTP, run locally, push objects back)."""
 
+import socket
+import threading
+
 import pytest
 
 from repro.dist import Coordinator, DistWorker, queue_root
@@ -174,6 +177,59 @@ class TestHttpTransport:
 
     def test_pull_missing_object_is_none(self, coord, service):
         assert HttpTransport(service.url).pull_object("ab" * 16) is None
+
+
+#: Replies from peers that are not a healthy ``dist serve``: something
+#: that does not speak HTTP, and a 200 that promises 100 bytes and
+#: hangs up after 14.
+_BROKEN_REPLIES = {
+    "not-http": b"SSH-2.0-OpenSSH\r\n\r\n",
+    "cut-short": b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
+                 b'{"campaigns": ',
+}
+
+
+@pytest.fixture(params=sorted(_BROKEN_REPLIES))
+def broken_peer(request):
+    """``host:port`` of a local socket that answers every request with
+    one of :data:`_BROKEN_REPLIES`, then closes the connection."""
+    reply = _BROKEN_REPLIES[request.param]
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.recv(65536)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield "127.0.0.1:%d" % listener.getsockname()[1]
+    stop.set()
+    thread.join(timeout=5.0)
+    listener.close()
+
+
+class TestProtocolErrors:
+    """A peer that breaks the HTTP protocol is a TransportError, never
+    an exception the worker loop or the CLI does not expect."""
+
+    def test_transport_raises_transport_error(self, broken_peer):
+        with pytest.raises(TransportError) as err:
+            HttpTransport(broken_peer, timeout_s=5.0).campaigns()
+        assert err.value.status is None
+
+    def test_cli_status_url_exits_1_with_error(self, broken_peer, capsys):
+        from repro.cli import main
+
+        assert main(["status", "--url", broken_peer]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestHttpWorker:

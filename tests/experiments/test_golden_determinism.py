@@ -31,6 +31,8 @@ import pytest
 
 from repro.experiments import RunConfig, Timeline
 from repro.experiments.runner import run_single
+from repro.obs.trace import MemorySink, Tracer
+from repro.store.scheduler import CampaignScheduler
 
 #: sha256 over the shapes and float64 bytes of the four result arrays.
 GOLDEN_DIGEST = "4c3d8d3222cd6a566bb3e22545e84e3def3bce598cf0294a6571735325165397"
@@ -86,14 +88,18 @@ def test_digest_is_reproducible_within_process():
 
 
 def test_seed_batched_run_matches_per_run_digest():
-    # The in-process multi-seed path must be byte-identical to
-    # dispatching each seed separately.
-    config = RunConfig(timeline=Timeline(scale=_SCALE), **_CONFIG)
-    batched = run_single(config, seeds=[0, 1])
-    singles = [
-        run_single(RunConfig(timeline=Timeline(scale=_SCALE),
-                             **{**_CONFIG, "seed": seed}))
+    # A seed batch runs its seeds one after the other in one task; each
+    # must be byte-identical to dispatching that seed separately.
+    configs = [
+        RunConfig(timeline=Timeline(scale=_SCALE), **{**_CONFIG, "seed": seed})
         for seed in (0, 1)
     ]
+    sink = MemorySink()
+    report = CampaignScheduler(seed_batch=2, tracer=Tracer(sink)).run(configs)
+    assert len(sink.by_event("sched.dispatch")) == 1
+    batched = sorted(report.results, key=lambda r: r.seed)
+    singles = [run_single(config) for config in configs]
     assert [_digest(r) for r in batched] == [_digest(r) for r in singles]
     assert _digest(batched[0]) == GOLDEN_DIGEST
+    # seeds genuinely differ (guards against a shared-RNG bug)
+    assert not np.array_equal(batched[0].game_bps, batched[1].game_bps)

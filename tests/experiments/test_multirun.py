@@ -1,19 +1,16 @@
-"""In-process multi-seed execution and seed-batched campaign dispatch.
+"""Seed-batched campaign dispatch.
 
 The batching machinery is only admissible if it is invisible in the
 data: every result, store object, and campaign aggregate must be
 byte-identical to per-run dispatch.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.experiments import Campaign, RunConfig, SMOKE, run_single
-from repro.experiments.multirun import (
-    run_condition_batch,
-    run_seeds,
-    seed_variants,
-)
+from repro.experiments import Campaign, RunConfig, SMOKE
 from repro.report import aggregate_results
 from repro.store import RunStore
 from repro.store.fingerprint import config_fingerprint
@@ -34,56 +31,6 @@ def _same_result(a, b) -> bool:
         and np.array_equal(a.iperf_bps, b.iperf_bps)
         and np.array_equal(a.rtt_samples, b.rtt_samples)
     )
-
-
-# ----------------------------------------------------------------------
-# multirun primitives
-# ----------------------------------------------------------------------
-def test_seed_variants_only_vary_the_seed():
-    variants = seed_variants(_config(), [3, 7])
-    assert [v.seed for v in variants] == [3, 7]
-    assert all(v.system == "luna" and v.cca == "cubic" for v in variants)
-
-
-def test_run_seeds_matches_individual_runs():
-    batched = run_seeds(_config(), [1, 2])
-    singles = [run_single(_config(seed=s)) for s in (1, 2)]
-    assert len(batched) == 2
-    assert all(_same_result(a, b) for a, b in zip(batched, singles))
-    # seeds genuinely differ (guards against a shared-RNG bug)
-    assert not np.array_equal(batched[0].game_bps, batched[1].game_bps)
-
-
-def test_run_single_seeds_parameter_delegates():
-    batched = run_single(_config(), seeds=[1, 2])
-    assert [r.seed for r in batched] == [1, 2]
-    assert _same_result(batched[0], run_single(_config(seed=1)))
-
-
-def test_run_single_seeds_rejects_observability_hooks():
-    from repro.obs.trace import Tracer
-
-    with pytest.raises(ValueError, match="seeds"):
-        run_single(_config(), seeds=[1], tracer=Tracer())
-
-
-def test_condition_batch_serves_and_fills_the_store(tmp_path):
-    store = RunStore(tmp_path / "store")
-    pre = run_single(_config(seed=1), store=store)
-    results = run_condition_batch(seed_variants(_config(), [1, 2]),
-                                  store=store)
-    # seed 1 was a cache hit (identical wall time => not re-simulated),
-    # seed 2 was executed and persisted.
-    assert results[0].wall_time_s == pre.wall_time_s
-    assert len(store) == 2
-    assert store.get(_config(seed=2)) is not None
-
-
-def test_condition_batch_handles_mixed_conditions():
-    configs = [_config(seed=1), _config(seed=1, cca="bbr")]
-    results = run_condition_batch(configs)
-    assert [r.cca for r in results] == ["cubic", "bbr"]
-    assert _same_result(results[1], run_single(_config(seed=1, cca="bbr")))
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +57,24 @@ def test_group_batches_leaves_unidentifiable_configs_alone():
     scheduler = CampaignScheduler(seed_batch=4)
     pending = [_Pending([Fake()], ["fp1"]), _Pending([Fake()], ["fp2"])]
     assert [len(i.configs) for i in scheduler._group_batches(pending)] == [1, 1]
+
+
+def test_batch_runs_share_one_budget():
+    # Any run_fn, not just the stock runner: each run of a batch gets
+    # what is left of the batch budget (per-run timeout x batch size).
+    budgets = []
+
+    def slow(config, timeout_s=None):
+        budgets.append(timeout_s)
+        time.sleep(0.2)
+        return config
+
+    scheduler = CampaignScheduler(run_fn=slow, seed_batch=2, timeout=1.0)
+    report = scheduler.run([_config(seed=1), _config(seed=2)])
+    assert report.executed == 2
+    first, second = budgets
+    assert 1.9 < first <= 2.0
+    assert first - second >= 0.2
 
 
 def test_seed_batch_validation():

@@ -1,6 +1,7 @@
 """Integration tests: single runs, result persistence, campaigns."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ class TestCampaign:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             Campaign(workers=0)
+
+    def test_dropped_campaign_is_freed_without_the_cyclic_collector(self):
+        # The campaign keeps its scheduler; if the scheduler's callback
+        # kept the campaign, a dropped campaign's results would stay in
+        # memory until the cyclic collector ran.
+        campaign = Campaign()
+        ref = weakref.ref(campaign)
+        gc.disable()
+        try:
+            del campaign
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_unknown_option_raises_at_construction(self):
+        # Options pass through to the scheduler, which names its own.
+        with pytest.raises(TypeError, match="no_such_option"):
+            Campaign(no_such_option=1)
 
     def test_label_includes_qdisc(self):
         cfg = RunConfig("stadia", 25e6, 2.0, cca="cubic", seed=1,

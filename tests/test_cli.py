@@ -174,6 +174,21 @@ def test_unusable_store_path_is_an_error_not_a_traceback(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("observer", [
+    ["--trace", "t.jsonl"], ["--metrics", "m.json"], ["--profile-sim"],
+], ids=["trace", "metrics", "profile-sim"])
+def test_run_seeds_rejects_per_run_observers(observer, tmp_path, capsys,
+                                             monkeypatch):
+    # An observer binds to one run; refused before anything simulates
+    # or any file is opened.
+    monkeypatch.chdir(tmp_path)
+    command = ["run", "--system", "luna", "--profile", "smoke",
+               "--seeds", "1", "2"]
+    assert main(command + observer) == 2
+    assert "--seeds cannot be combined" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_campaign_resume_requires_store(capsys):
     rc = main(["campaign", "--resume", "--profile", "smoke"])
     assert rc == 2
