@@ -91,7 +91,7 @@ from repro.report import (
     get_formatter,
     render_status,
 )
-from repro.store import ChaosSpec, RunStore, StoreIndex, StoreVersionError, parse_where
+from repro.store import ChaosSpec, RunStore, StoreVersionError, parse_where
 from repro.streaming.systems import SYSTEMS
 from repro.tcp import CCA_REGISTRY
 from repro.testbed.topology import QUEUE_DISCIPLINES
@@ -278,15 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     store_merge.add_argument("sources", nargs="+", metavar="SRC",
                              help="source store directories")
     store_merge.add_argument("--json", action="store_true")
-    for name, help_text in (
-        ("push", "merge the local store's objects into a remote root"),
-        ("pull", "merge a remote store's objects into the local store"),
-    ):
-        store_cmd = store_sub.add_parser(name, help=help_text)
-        store_cmd.add_argument("path", help="local store directory")
-        store_cmd.add_argument("remote", help="remote store root "
-                                              "(shared/mounted directory)")
-        store_cmd.add_argument("--json", action="store_true")
 
     dist_parser = sub.add_parser(
         "dist", help="distributed campaign fabric (coordinator/workers/service)"
@@ -427,10 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "-o", "--out", metavar="DIR", default=None,
         help="write the formatter's files under DIR instead of stdout",
-    )
-    report_parser.add_argument(
-        "--rebuild-index", action="store_true",
-        help="ignore the cached store index and rebuild it",
     )
 
     status_parser = sub.add_parser(
@@ -751,25 +738,20 @@ def _render_merge(label: str, report) -> str:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    if args.store_command in ("merge", "push", "pull"):
-        from repro.store.sync import merge_stores, pull_store, push_store
+    if args.store_command == "merge":
+        from repro.store.sync import merge_stores
 
         try:
-            if args.store_command == "merge":
-                dest = _open_store(args.dest)
-                reports = [
-                    (src, merge_stores(dest, _open_store(src)))
-                    for src in args.sources
-                ]
-            elif args.store_command == "push":
-                reports = [(args.remote, push_store(_open_store(args.path), args.remote))]
-            else:
-                reports = [(args.remote, pull_store(_open_store(args.path), args.remote))]
+            dest = _open_store(args.dest)
+            reports = [
+                (src, merge_stores(dest, _open_store(src)))
+                for src in args.sources
+            ]
         except (OSError, ValueError, StoreVersionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         conflicts = [fp for _, report in reports for fp in report.conflicts]
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps({
                 label: report.to_dict() for label, report in reports
             }))
@@ -785,8 +767,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
     store = _open_store(args.path)
     if args.store_command == "ls":
         if getattr(args, "json", False):
-            # Machine-readable listing: the same stat-enriched entries
-            # the store index caches (fingerprint, axes, size, mtime).
+            # Machine-readable listing: manifest entries enriched with
+            # each object's on-disk size and mtime.
             print(json.dumps(store.ls(stat=True)))
             return 0
         entries = store.ls()
@@ -820,12 +802,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     formatter = get_formatter(args.format)
-    index = StoreIndex.open(store, rebuild=args.rebuild_index)
     try:
         report = aggregate_store(
             store,
             where=where,
-            index=index,
             # The band arrays only feed the figure set; metric-only
             # formats skip accumulating them.
             keep_bands=(args.format == "figures"),

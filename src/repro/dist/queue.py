@@ -493,9 +493,9 @@ class ShardQueue:
     # ------------------------------------------------------------------
     # Worker presence
     # ------------------------------------------------------------------
-    def worker_beat(self, worker_id: str, **info) -> None:
-        """Publish one worker's current state (atomic rewrite)."""
-        record = {"worker": worker_id, "ts": self._clock(), **info}
+    def worker_beat(self, worker_id: str, /, **info) -> None:
+        """Publish a worker's state; ``worker``/``ts`` override ``info``."""
+        record = {**info, "worker": worker_id, "ts": self._clock()}
         _atomic_write_text(
             self.workers_dir / f"{worker_id}.json",
             json.dumps(record, separators=(",", ":")),

@@ -135,7 +135,7 @@ class FileTransport:
                 error: str | None = None) -> bool:
         return self._queue(cid).release(shard_id, worker_id, error)
 
-    def beat(self, cid: str, worker_id: str, **info) -> None:
+    def beat(self, cid: str, worker_id: str, /, **info) -> None:
         try:
             self._queue(cid).worker_beat(worker_id, **info)
         except (TransportError, OSError):  # pragma: no cover - teardown
@@ -273,10 +273,10 @@ class HttpTransport:
         )
         return bool(doc.get("released"))
 
-    def beat(self, cid: str, worker_id: str, **info) -> None:
+    def beat(self, cid: str, worker_id: str, /, **info) -> None:
         try:
             self._post(f"/campaigns/{cid}/beat",
-                       {"worker": worker_id, **info})
+                       {**info, "worker": worker_id})
         except TransportError:
             pass  # presence is telemetry; never fail work over it
 

@@ -18,17 +18,17 @@ package makes those campaigns cheap to re-run and safe to interrupt:
   scheduler's ``run_fn``, proving the recovery paths above in CI.
 - :mod:`repro.store.index` -- the manifest index: condition axes ->
   fingerprints with predicate filtering
-  (``StoreIndex.open(store).select(cca="bbr", capacity=25)``), cached
-  at ``<store>/index.json`` and invalidated off the manifest stamp.
+  (``StoreIndex.open(store).select(cca="bbr", capacity=25)``), built in
+  memory from the manifest on every open; nothing is cached on disk.
 - :mod:`repro.store.heartbeat` -- live campaign telemetry: the
   scheduler appends progress snapshots to
   ``<store>/campaigns/<id>/heartbeat.jsonl`` so a long sweep is
   observable from another terminal (``repro-gsnet status``).
 - :mod:`repro.store.sync` -- store synchronisation: manifest-union
   merge of two stores (object-level dedupe by fingerprint, provenance-
-  aware conflict detection, atomic manifest rewrite + index
-  invalidation), the fold-back half of the distributed tier
-  (:mod:`repro.dist`), exposed as ``repro-gsnet store merge|push|pull``.
+  aware conflict detection, atomic manifest rewrite), the fold-back
+  half of the distributed tier (:mod:`repro.dist`), exposed as
+  ``repro-gsnet store merge``.
 
 :class:`~repro.experiments.campaign.Campaign` drives the scheduler; the
 ``repro-gsnet campaign`` (``--timeout``/``--chaos``) and ``repro-gsnet
@@ -52,7 +52,7 @@ from repro.store.scheduler import (
     RunTimeout,
     WorkerCrash,
 )
-from repro.store.sync import MergeReport, merge_stores, pull_store, push_store
+from repro.store.sync import MergeReport, merge_stores
 
 __all__ = [
     "CampaignError",
@@ -76,6 +76,4 @@ __all__ = [
     "load_heartbeat",
     "merge_stores",
     "parse_where",
-    "pull_store",
-    "push_store",
 ]

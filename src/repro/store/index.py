@@ -9,19 +9,15 @@ The store's manifest already carries every run's identity axes
     entries = index.select(system=["stadia", "luna"], queue=2)
     entries = index.select(cca="solo")               # solo = no competitor
 
-Building stats every object (size/mtime enrichment), which is the
-expensive part for 10^5-run stores, so the built index is cached at
-``<store>/index.json`` and invalidated off the manifest file's
-(size, mtime_ns) stamp: any ``put`` appends to the manifest and any
-``gc`` rewrites it, so every mutation changes the stamp.
+The manifest is the only index on disk: :meth:`StoreIndex.open` reads
+it once and builds the inverted index in memory, so every open sees
+exactly the manifest as it is now and opening never writes to the
+store.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from repro.store.runstore import RunStore, _atomic_write_text
+from repro.store.runstore import RunStore
 
 __all__ = ["StoreIndex", "parse_where", "run_order"]
 
@@ -48,9 +44,6 @@ _ALIASES = {
     "profile": ("timeline_scale", float),
 }
 
-#: Cache schema version (bump on layout changes; stale caches rebuild).
-_CACHE_FORMAT = 1
-
 
 def run_order(get) -> tuple:
     """Sort key of the index's deterministic run order.
@@ -76,79 +69,27 @@ def run_order(get) -> tuple:
 class StoreIndex:
     """A queryable snapshot of one store's manifest.
 
-    Construct via :meth:`open` (cached) or :meth:`build` (always
-    fresh).  The index is immutable once built; reopen after campaign
-    activity to see new runs (the stamp check makes that cheap).
+    Construct via :meth:`open`.  The index is immutable once built;
+    reopen after campaign activity to see new runs.
     """
 
-    def __init__(self, entries: list[dict], stamp: "tuple[int, int]"):
+    def __init__(self, entries: list[dict]):
         self.entries = entries
-        self.stamp = stamp
         self._by_axis: dict[str, dict] = {axis: {} for axis in AXES}
         for position, entry in enumerate(entries):
             for axis in AXES:
                 value = self._axis_key(axis, entry.get(axis))
                 self._by_axis[axis].setdefault(value, []).append(position)
 
-    # ------------------------------------------------------------------
-    # Construction / caching
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _manifest_stamp(store: RunStore) -> "tuple[int, int]":
-        try:
-            st = store.manifest_path.stat()
-        except OSError:
-            return (0, 0)
-        return (st.st_size, st.st_mtime_ns)
-
-    @staticmethod
-    def cache_path(store: RunStore) -> Path:
-        return store.root / "index.json"
-
-    @classmethod
-    def build(cls, store: RunStore) -> "StoreIndex":
-        """Index the manifest (with object size/mtime), bypassing the cache."""
-        stamp = cls._manifest_stamp(store)
-        entries = sorted(store.ls(stat=True), key=lambda e: run_order(e.get))
-        return cls(entries, stamp)
-
     @classmethod
     def open(cls, store: RunStore, rebuild: bool = False) -> "StoreIndex":
-        """The store's index, served from ``index.json`` when current.
+        """Index the store's manifest in run order.
 
-        A cache whose recorded manifest stamp no longer matches the
-        manifest file is rebuilt and rewritten (atomically); pass
-        ``rebuild=True`` to force that.
+        ``rebuild`` is ignored: every open reads the manifest afresh.
+        The keyword is kept only because the ``grid-read`` benchmark
+        workload still passes ``rebuild=True``.
         """
-        cache = cls.cache_path(store)
-        stamp = cls._manifest_stamp(store)
-        if not rebuild:
-            cached = cls._load_cache(cache)
-            if cached is not None and tuple(cached["stamp"]) == stamp:
-                return cls(cached["entries"], stamp)
-        index = cls.build(store)
-        payload = {
-            "format": _CACHE_FORMAT,
-            "stamp": list(index.stamp),
-            "entries": index.entries,
-        }
-        _atomic_write_text(cache, json.dumps(payload, separators=(",", ":")))
-        return index
-
-    @staticmethod
-    def _load_cache(path: Path) -> dict | None:
-        try:
-            cached = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(cached, dict)
-            or cached.get("format") != _CACHE_FORMAT
-            or "stamp" not in cached
-            or "entries" not in cached
-        ):
-            return None
-        return cached
+        return cls(sorted(store.ls(), key=lambda e: run_order(e.get)))
 
     # ------------------------------------------------------------------
     # Queries
@@ -206,16 +147,6 @@ class StoreIndex:
         if selected is None:
             return list(self.entries)
         return [self.entries[i] for i in sorted(selected)]
-
-    def axes(self) -> dict[str, list]:
-        """Distinct values per axis (sorted), for discovery/rendering."""
-        catalog = {}
-        for axis in AXES:
-            values = list(self._by_axis[axis])
-            catalog[axis] = sorted(
-                values, key=lambda v: (v is None, str(v) if v is None else v)
-            )
-        return catalog
 
 
 def parse_where(clauses: "list[str] | None") -> dict:

@@ -21,6 +21,9 @@ The manifest is an append-only JSONL index: ``ls`` is one sequential
 read instead of a directory walk, duplicate puts are deduplicated on
 load (last entry wins), and a torn final line -- the worst a crash
 during append can do -- is skipped on read and healed by ``gc``.
+It is also the store's only index (:class:`~repro.store.index.StoreIndex`
+reads it on every open), so ``gc`` and merges rewrite it with nothing to
+invalidate; an ``index.json`` left by an older build is inert.
 """
 
 from __future__ import annotations
@@ -201,8 +204,7 @@ class RunStore:
         With ``stat=True`` each entry additionally carries the on-disk
         ``size_bytes`` (meta + arrays) and ``mtime`` (latest of the two
         files, epoch seconds) of its object -- the machine-readable
-        listing ``store ls --json`` and the
-        :class:`~repro.store.index.StoreIndex` cache share.
+        listing ``store ls --json`` prints.
         """
         if not self.manifest_path.exists():
             return []
@@ -302,28 +304,12 @@ class RunStore:
             canonical_json(e) + "\n" for e in kept.values()
         )
         _atomic_write_text(self.manifest_path, lines)
-        self.invalidate_index()
         return {
             "entries_dropped": dropped_entries,
             "objects_removed": removed_objects,
             "tmp_removed": removed_tmp,
             "entries_kept": len(kept),
         }
-
-    def invalidate_index(self) -> None:
-        """Drop the cached ``index.json`` after any manifest rewrite.
-
-        The :class:`~repro.store.index.StoreIndex` cache is keyed on the
-        manifest's ``(size, mtime_ns)`` stamp, but a rewrite that lands
-        on a coarse-mtime filesystem can leave both unchanged (same byte
-        count, same timestamp granule) and serve collected fingerprints
-        from the stale cache.  Every manifest-rewriting path (``gc``,
-        store merge) must call this explicitly.
-        """
-        try:
-            (self.root / "index.json").unlink()
-        except FileNotFoundError:
-            pass
 
     def _object_dirs(self):
         for shard in sorted(self.objects.iterdir()):

@@ -1,10 +1,14 @@
-"""Store synchronisation: manifest-union merge, push, and pull.
+"""Store synchronisation: manifest-union merge and single-object shipping.
 
 Distributed campaigns leave results scattered across per-worker stores;
 :func:`merge_stores` folds a source store into a destination so a single
 ``repro report`` sees everything.  The merge is object-level and keyed
 by fingerprint -- the same content addressing the cache uses:
 
+- a source object whose files are gone, or whose metadata does not
+  fingerprint to its key (a mis-addressed or overwritten object), is
+  **missing**: it is never copied, so it cannot later be served as a
+  cache hit for a config it does not belong to;
 - a fingerprint only in the source is **copied** (both object files,
   atomic temp+rename) and its manifest entry appended to the union;
 - a fingerprint in both is compared.  Byte-identical objects are plain
@@ -20,9 +24,8 @@ by fingerprint -- the same content addressing the cache uses:
   redundant.
 
 After copying, the destination manifest is rewritten atomically as the
-union (deduplicated, destination entries winning) and the cached
-``index.json`` is invalidated.  ``push``/``pull`` are directional
-conveniences over the same merge.
+union (deduplicated, destination entries winning).  The manifest is the
+store's only index, so there is nothing else to update.
 
 The same classification runs one object at a time for the network
 transport: :func:`pack_object`/:func:`unpack_object` frame an object's
@@ -56,8 +59,6 @@ __all__ = [
     "MergeReport",
     "merge_stores",
     "pack_object",
-    "pull_store",
-    "push_store",
     "receive_object",
     "unpack_object",
 ]
@@ -82,7 +83,8 @@ class MergeReport:
     copied: int = 0
     duplicates: int = 0
     conflicts: list[str] = field(default_factory=list)
-    #: source manifest entries whose object files were missing/torn
+    #: source manifest entries whose objects were missing, torn or
+    #: mis-addressed (metadata fingerprinting to another key)
     missing: list[str] = field(default_factory=list)
 
     @property
@@ -107,16 +109,19 @@ def merge_stores(dst: RunStore, src: RunStore) -> MergeReport:
     new_entries = []
     for entry in src.ls():
         fp = entry["fp"]
-        if not src.contains_fp(fp):
+        src_dir = src._object_dir(fp)
+        if not src.contains_fp(fp) or _fingerprint_problem(
+            fp, (src_dir / "meta.json").read_bytes()
+        ):
             report.missing.append(fp)
             continue
         if dst.contains_fp(fp):
-            if _objects_equal(dst._object_dir(fp), src._object_dir(fp)):
+            if _objects_equal(dst._object_dir(fp), src_dir):
                 report.duplicates += 1
             else:
                 report.conflicts.append(fp)
             continue
-        _copy_object(src._object_dir(fp), dst._object_dir(fp))
+        _copy_object(src_dir, dst._object_dir(fp))
         new_entries.append(entry)
         report.copied += 1
 
@@ -127,18 +132,18 @@ def merge_stores(dst: RunStore, src: RunStore) -> MergeReport:
             canonical_json(e) + "\n" for e in dst_entries.values()
         )
         _atomic_write_text(dst.manifest_path, lines)
-        dst.invalidate_index()
     return report
 
 
-def push_store(local: RunStore, remote_root: str | Path) -> MergeReport:
-    """Merge the local store's objects into a (possibly new) remote root."""
-    return merge_stores(RunStore(remote_root), local)
-
-
-def pull_store(local: RunStore, remote_root: str | Path) -> MergeReport:
-    """Merge a remote store's objects into the local store."""
-    return merge_stores(local, RunStore(remote_root))
+def _fingerprint_problem(fp: str, meta_bytes: bytes) -> str | None:
+    """Why ``meta_bytes`` cannot be the object keyed ``fp``, or None."""
+    try:
+        recomputed = _fingerprint_of_meta(json.loads(meta_bytes))
+    except (ValueError, KeyError, TypeError) as exc:
+        return f"unreadable object metadata: {exc}"
+    if recomputed != fp:
+        return f"object metadata fingerprints to {recomputed}, not {fp}"
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -281,15 +286,9 @@ def receive_object(store: RunStore, fp: str, entry: dict,
         raise ValueError(
             f"bundle entry is for {entry.get('fp')!r}, not {fp!r}"
         )
-    try:
-        meta = json.loads(meta_bytes)
-        recomputed = _fingerprint_of_meta(meta)
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"unreadable object metadata: {exc}") from exc
-    if recomputed != fp:
-        raise ValueError(
-            f"object metadata fingerprints to {recomputed}, not {fp}"
-        )
+    problem = _fingerprint_problem(fp, meta_bytes)
+    if problem:
+        raise ValueError(problem)
     existing = store.object_bytes(fp)
     if existing is not None:
         if _payloads_equal(existing[0], existing[1], meta_bytes, npz_bytes):

@@ -243,6 +243,26 @@ class TestQueueAPI:
         workers = ShardQueue.open(queue_root(store, cid)).workers()
         assert any(w["worker"] == "w9" and w["runs"] == 3 for w in workers)
 
+    def test_beat_ts_is_the_server_clock(self, store, service, clock):
+        cid = self.enqueue(store)
+        doc = _post(f"{service.url}/campaigns/{cid}/beat",
+                    {"worker": "w1", "ts": 0})
+        assert doc == {"ok": True}
+        (record,) = ShardQueue.open(queue_root(store, cid)).workers()
+        assert record["ts"] == clock.now
+
+    @pytest.mark.parametrize("key", ["worker_id", "cid", "self"])
+    def test_beat_body_key_is_data_never_a_500(self, store, service, key):
+        # Body keys that share a name with a parameter of the beat call
+        # chain are recorded as fields, not bound as arguments.
+        cid = self.enqueue(store)
+        doc = _post(f"{service.url}/campaigns/{cid}/beat",
+                    {"worker": "w1", key: "x"})
+        assert doc == {"ok": True}
+        (record,) = ShardQueue.open(queue_root(store, cid)).workers()
+        assert record["worker"] == "w1"
+        assert record[key] == "x"
+
     @pytest.mark.parametrize("action, body", [
         ("beat", {"worker": "../../../../../outside"}),
         ("complete", {"worker": "w", "shard": "../../../../../victim",

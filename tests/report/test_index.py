@@ -1,122 +1,120 @@
-"""Tests for the manifest index: predicates, aliases, cache invalidation."""
+"""Tests for the manifest index: predicates, aliases, fresh reads."""
 
-import json
+import os
 
 import pytest
 
-from repro.store import StoreIndex, parse_where
+from repro.store import RunStore, StoreIndex, parse_where
+from repro.store.fingerprint import canonical_json
 
 from tests.report.conftest import make_config, make_result
 
 
 class TestSelect:
     def test_build_indexes_every_run(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
+        index = StoreIndex.open(seeded_store)
         assert len(index) == 6
 
     def test_axis_predicate(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
+        index = StoreIndex.open(seeded_store)
         bbr = index.select(cca="bbr")
         assert len(bbr) == 2
         assert all(entry["cca"] == "bbr" for entry in bbr)
 
     def test_capacity_alias_takes_mbps(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
+        index = StoreIndex.open(seeded_store)
         assert len(index.select(capacity=25)) == 6
         assert index.select(capacity=35) == []
 
     def test_solo_means_no_competitor(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
+        index = StoreIndex.open(seeded_store)
         for spelled in ("solo", "none", "SOLO"):
             solo = index.select(cca=spelled)
             assert len(solo) == 2
             assert all(entry["cca"] is None for entry in solo)
 
     def test_any_of_lists(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
+        index = StoreIndex.open(seeded_store)
         assert len(index.select(cca=["cubic", "bbr"])) == 4
         assert len(index.select(cca=["cubic", "bbr"], seed=0)) == 2
 
     def test_conjunction_across_axes(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
+        index = StoreIndex.open(seeded_store)
         picked = index.select(cca="cubic", seed=1)
         assert len(picked) == 1
         assert picked[0]["seed"] == 1
 
     def test_no_predicates_returns_everything(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
+        index = StoreIndex.open(seeded_store)
         assert len(index.select()) == 6
 
     def test_unknown_axis_raises_with_options(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
+        index = StoreIndex.open(seeded_store)
         with pytest.raises(ValueError, match="unknown axis"):
             index.select(nonsense=1)
 
-    def test_entries_carry_size_and_mtime(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
-        for entry in index.entries:
-            assert entry["size_bytes"] > 0
-            assert entry["mtime"] > 0
-
     def test_deterministic_order(self, seeded_store):
-        first = StoreIndex.build(seeded_store)
-        second = StoreIndex.build(seeded_store)
+        first = StoreIndex.open(seeded_store)
+        second = StoreIndex.open(seeded_store)
         assert [e["fp"] for e in first.entries] == [
             e["fp"] for e in second.entries
         ]
 
-    def test_axes_catalog(self, seeded_store):
-        catalog = StoreIndex.build(seeded_store).axes()
-        assert catalog["cca"] == ["bbr", "cubic", None]
-        assert catalog["seed"] == [0.0, 1.0]
 
-
-class TestCache:
-    def test_open_writes_cache_file(self, seeded_store):
-        StoreIndex.open(seeded_store)
-        cache = StoreIndex.cache_path(seeded_store)
-        assert cache.exists()
-        payload = json.loads(cache.read_text())
-        assert len(payload["entries"]) == 6
-
-    def test_second_open_serves_cache_without_stat_walk(
-        self, seeded_store, monkeypatch
-    ):
-        StoreIndex.open(seeded_store)
-
-        def must_not_build(store):
-            raise AssertionError("cache should have served this open")
-
-        monkeypatch.setattr(StoreIndex, "build", must_not_build)
-        index = StoreIndex.open(seeded_store)
-        assert len(index) == 6
-
-    def test_put_invalidates_cache(self, seeded_store):
+class TestOpen:
+    def test_put_is_seen_by_next_open(self, seeded_store):
         StoreIndex.open(seeded_store)
         config = make_config(cca="bbr", seed=9)
         seeded_store.put(config, make_result(config))
         index = StoreIndex.open(seeded_store)
         assert len(index) == 7
 
-    def test_corrupt_cache_rebuilds(self, seeded_store):
+    def test_same_size_same_mtime_rewrite_is_seen(self, seeded_store,
+                                                   tmp_path):
+        # A manifest rewrite that keeps the file's byte length and
+        # mtime (a coarse-mtime filesystem, or a restore) must still be
+        # read as it is now.
         StoreIndex.open(seeded_store)
-        StoreIndex.cache_path(seeded_store).write_text("{not json")
-        assert len(StoreIndex.open(seeded_store)) == 6
+        manifest = seeded_store.manifest_path
+        before = manifest.stat()
+        other = RunStore(tmp_path / "other")
+        swapped = make_config(cca="cubic", seed=7)
+        other.put(swapped, make_result(swapped))
+        (new_entry,) = other.ls()
+        lines = []
+        for entry in seeded_store.ls():
+            if entry["cca"] == "cubic" and entry["seed"] == 1:
+                entry = new_entry
+            lines.append(canonical_json(entry) + "\n")
+        manifest.write_text("".join(lines))
+        os.utime(manifest, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = manifest.stat()
+        assert (after.st_size, after.st_mtime_ns) == (
+            before.st_size, before.st_mtime_ns
+        )
+        index = StoreIndex.open(seeded_store)
+        assert [e["fp"] for e in index.select(seed=7)] == [new_entry["fp"]]
+        assert index.select(cca="cubic", seed=1) == []
 
-    def test_rebuild_flag_bypasses_cache(self, seeded_store):
-        StoreIndex.open(seeded_store)
-        # Poison the cache with a valid-looking but wrong entry list;
-        # rebuild must ignore it even though the stamp still matches.
-        cache = StoreIndex.cache_path(seeded_store)
-        payload = json.loads(cache.read_text())
-        payload["entries"] = payload["entries"][:1]
-        cache.write_text(json.dumps(payload))
-        assert len(StoreIndex.open(seeded_store)) == 1
-        assert len(StoreIndex.open(seeded_store, rebuild=True)) == 6
+    def test_report_writes_nothing_under_the_store(self, seeded_store):
+        from repro.cli import main
+        from repro.report import formatter_names
+
+        def snapshot():
+            return {
+                path.relative_to(seeded_store.root): path.read_bytes()
+                for path in sorted(seeded_store.root.rglob("*"))
+                if path.is_file()
+            }
+
+        before = snapshot()
+        for fmt in formatter_names():
+            assert main(["report", str(seeded_store.root), "--format", fmt]) == 0
+        assert main(["report", str(seeded_store.root),
+                     "--where", "cca=cubic", "--where", "capacity=25"]) == 0
+        assert snapshot() == before
 
     def test_empty_store_indexes_empty(self, tmp_path):
-        from repro.store import RunStore
-
         store = RunStore(tmp_path / "empty")
         assert len(StoreIndex.open(store)) == 0
 
@@ -144,6 +142,6 @@ class TestParseWhere:
             parse_where([clause])
 
     def test_roundtrip_through_select(self, seeded_store):
-        index = StoreIndex.build(seeded_store)
+        index = StoreIndex.open(seeded_store)
         where = parse_where(["cca=cubic,bbr", "capacity=25"])
         assert len(index.select(**where)) == 4

@@ -1,4 +1,4 @@
-"""Tests for store sync (merge/push/pull) and index invalidation."""
+"""Tests for store merge and what the index sees after a manifest rewrite."""
 
 import dataclasses
 import json
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.store import RunStore, StoreIndex
-from repro.store.sync import merge_stores, pull_store, push_store
+from repro.store.sync import merge_stores
 
 from tests.store.test_runstore import TORN, make_config, make_result, tear_arrays
 
@@ -107,6 +107,33 @@ class TestMergeUnion:
         assert report.copied == 0
         assert not dst.contains_fp(fp)
 
+    def test_source_object_of_another_fingerprint_is_missing(self, dst, src):
+        # seed 2's files copied over seed 1's object: the source store
+        # would serve seed 2's result for seed 1's config.
+        one, two = make_config(seed=1), make_config(seed=2)
+        fp_one = src.put(one, make_result(one))
+        fp_two = src.put(two, make_result(two))
+        for name in ("meta.json", "arrays.npz"):
+            (src._object_dir(fp_one) / name).write_bytes(
+                (src._object_dir(fp_two) / name).read_bytes()
+            )
+        assert any(p.startswith(fp_one) for p in src.verify())
+        report = merge_stores(dst, src)
+        assert report.copied == 1
+        assert report.missing == [fp_one]
+        assert not dst.contains_fp(fp_one)
+        assert dst.get(one) is None
+        assert {e["fp"] for e in dst.ls()} == {fp_two}
+        assert dst.verify() == []
+
+    def test_merge_creates_missing_destination(self, src, tmp_path):
+        config = make_config()
+        fp = src.put(config, make_result(config))
+        dest = tmp_path / "new" / "dest"
+        report = merge_stores(RunStore(dest), src)
+        assert report.copied == 1
+        assert RunStore(dest).contains_fp(fp)
+
     def test_merge_into_itself_refuses(self, dst):
         with pytest.raises(ValueError, match="itself"):
             merge_stores(dst, dst)
@@ -120,65 +147,42 @@ class TestMergeUnion:
         assert again.duplicates == 1
 
 
-class TestPushPull:
-    def test_push_creates_and_fills_remote(self, dst, tmp_path):
-        config = make_config()
-        fp = dst.put(config, make_result(config))
-        remote = tmp_path / "remote"
-        report = push_store(dst, remote)
-        assert report.copied == 1
-        assert RunStore(remote).contains_fp(fp)
-
-    def test_pull_brings_remote_objects_local(self, dst, tmp_path):
-        remote = RunStore(tmp_path / "remote")
-        config = make_config(seed=5)
-        fp = remote.put(config, make_result(config))
-        report = pull_store(dst, tmp_path / "remote")
-        assert report.copied == 1
-        assert dst.contains_fp(fp)
-
-
 class TestIndexInvalidation:
-    """Satellite: every manifest rewrite must drop the cached index."""
+    """Every manifest rewrite is what the next index open sees."""
 
-    def test_merge_invalidates_cached_index(self, dst, src):
+    def test_select_after_merge_sees_new_manifest(self, dst, src):
         config = make_config(seed=0)
-        dst.put(config, make_result(config))
-        index = StoreIndex.open(dst)  # writes index.json
-        assert StoreIndex.cache_path(dst).exists()
-        assert len(index) == 1
+        fp_kept = dst.put(config, make_result(config))
+        assert len(StoreIndex.open(dst)) == 1
 
         other = make_config(seed=1)
         fp = src.put(other, make_result(other))
         merge_stores(dst, src)
-        assert not StoreIndex.cache_path(dst).exists()
-        entries = StoreIndex.open(dst).select(seed=1)
-        assert [e["fp"] for e in entries] == [fp]
+        index = StoreIndex.open(dst)
+        assert [e["fp"] for e in index.select(seed=1)] == [fp]
+        assert {e["fp"] for e in index.select()} == {fp_kept, fp}
 
-    def test_gc_invalidates_cached_index(self, dst):
+    def test_select_after_gc_sees_new_manifest(self, dst):
         config = make_config(seed=0)
         victim = make_config(seed=1)
-        dst.put(config, make_result(config))
+        fp_kept = dst.put(config, make_result(config))
         fp = dst.put(victim, make_result(victim))
-        StoreIndex.open(dst)
-        assert StoreIndex.cache_path(dst).exists()
+        assert len(StoreIndex.open(dst)) == 2
 
         # Lose the object, then gc: the manifest entry is dropped and
-        # the cache must go with it.
+        # the next open no longer lists it.
         for name in ("meta.json", "arrays.npz"):
             (dst._object_dir(fp) / name).unlink()
         stats = dst.gc()
         assert stats["entries_dropped"] == 1
-        assert not StoreIndex.cache_path(dst).exists()
+        assert [e["fp"] for e in StoreIndex.open(dst).select()] == [fp_kept]
 
     def test_gc_then_select_never_returns_collected_fp(self, dst):
-        """The satellite's regression: gc -> select is always coherent."""
+        """gc -> select is always coherent."""
         keep = make_config(seed=0)
         drop = make_config(seed=1)
         dst.put(keep, make_result(keep))
         fp_drop = dst.put(drop, make_result(drop))
-        # Warm the cache so a stale-stamp bug would have something to
-        # serve.
         StoreIndex.open(dst)
         for name in ("meta.json", "arrays.npz"):
             (dst._object_dir(fp_drop) / name).unlink()
@@ -187,9 +191,6 @@ class TestIndexInvalidation:
         fps = [e["fp"] for e in entries]
         assert fp_drop not in fps
         assert len(fps) == 1
-
-    def test_invalidate_index_without_cache_is_noop(self, dst):
-        dst.invalidate_index()  # must not raise
 
 
 class TestCLI:
@@ -214,14 +215,13 @@ class TestCLI:
         assert code == 1
         assert "CONFLICT" in capsys.readouterr().err
 
-    def test_store_push_pull_cli(self, dst, tmp_path, capsys):
+    def test_store_merge_cli_into_new_directory(self, src, tmp_path):
         from repro.cli import main
 
         config = make_config()
-        dst.put(config, make_result(config))
-        remote = tmp_path / "remote"
-        assert main(["store", "push", str(dst.root), str(remote)]) == 0
-        fresh = tmp_path / "fresh"
-        RunStore(fresh)
-        assert main(["store", "pull", str(fresh), str(remote)]) == 0
-        assert len(RunStore(fresh).ls()) == 1
+        src.put(config, make_result(config))
+        first = tmp_path / "first"
+        assert main(["store", "merge", str(first), str(src.root)]) == 0
+        second = tmp_path / "second"
+        assert main(["store", "merge", str(second), str(first)]) == 0
+        assert len(RunStore(second).ls()) == 1
