@@ -28,10 +28,14 @@ invalidate; an ``index.json`` left by an older build is inert.
 
 from __future__ import annotations
 
+import functools
+import io
 import json
+import math
 import os
 import tempfile
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +55,13 @@ __all__ = ["RunStore", "StoreVersionError"]
 _ARRAY_FIELDS = ("times", "game_bps", "iperf_bps", "rtt_samples", "target_log")
 
 #: What reading an unusable object raises: a missing or unreadable file,
-#: bad JSON, an absent array, and -- from ``np.load`` on a torn or empty
-#: ``arrays.npz`` -- ``BadZipFile`` and ``EOFError``.
-_UNREADABLE = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
+#: bad JSON or ``.npy`` header, an absent array, and -- from
+#: :func:`_read_arrays` on a torn, empty or bit-flipped ``arrays.npz`` --
+#: ``BadZipFile`` (bad structure or CRC), ``EOFError`` and ``zlib.error``
+#: (a corrupt deflate stream).
+_UNREADABLE = (
+    OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error,
+)
 
 
 class StoreVersionError(RuntimeError):
@@ -141,9 +149,7 @@ class RunStore:
         obj = self._object_dir(fp)
         try:
             data = json.loads((obj / "meta.json").read_text())
-            with np.load(obj / "arrays.npz") as npz:
-                for name in _ARRAY_FIELDS:
-                    data[name] = npz[name]
+            data.update(_read_arrays((obj / "arrays.npz").read_bytes()))
         except _UNREADABLE:
             return None
         return RunResult.from_dict(data)
@@ -258,9 +264,7 @@ class RunStore:
                 continue
             try:
                 meta = json.loads((obj / "meta.json").read_text())
-                with np.load(obj / "arrays.npz") as npz:
-                    for name in _ARRAY_FIELDS:
-                        npz[name]
+                _read_arrays((obj / "arrays.npz").read_bytes())
             except _UNREADABLE as exc:
                 problems.append(f"{fp}: unreadable object ({exc})")
                 continue
@@ -368,6 +372,70 @@ class RunStore:
 
     def save_checkpoint(self, campaign_id: str, state: dict) -> None:
         _atomic_write_text(self.checkpoint_path(campaign_id), json.dumps(state))
+
+
+def _read_arrays(npz: bytes) -> dict[str, np.ndarray]:
+    """Decode the series of one ``arrays.npz`` (raises :data:`_UNREADABLE`).
+
+    The store's only array reader, in place of ``numpy.load``: stdlib
+    ``zipfile`` inflates each ``<name>.npy`` member (checking its CRC),
+    numpy's safe header reader parses the ``.npy`` header once per
+    distinct header (:func:`_npy_header`), and the payload is copied out
+    into a writable array.  It reads what ``np.savez_compressed`` writes
+    exactly as ``numpy.load(..., allow_pickle=False)`` does.
+    """
+    with zipfile.ZipFile(io.BytesIO(npz)) as zf:
+        return {
+            name: _decode_npy(zf.read(f"{name}.npy"))
+            for name in _ARRAY_FIELDS
+        }
+
+
+_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _decode_npy(raw: bytes) -> np.ndarray:
+    """One ``.npy`` member's bytes as a writable array."""
+    # Version 1.0 stores the header length in 2 bytes, later ones in 4.
+    start = 10 if raw[6:7] == b"\x01" else 12
+    end = start + int.from_bytes(raw[8:start], "little")
+    shape, fortran_order, dtype = _npy_header(raw[:end])
+    count = math.prod(shape)
+    if count * dtype.itemsize > len(raw) - end:
+        raise ValueError(
+            f"array data holds {len(raw) - end} bytes, its header "
+            f"declares {count} x {dtype.itemsize}"
+        )
+    array = np.frombuffer(raw, dtype=dtype, count=count, offset=end)
+    order = "F" if fortran_order else "C"
+    return array.reshape(shape, order=order).copy(order="K")
+
+
+@functools.lru_cache(maxsize=256)
+def _npy_header(prefix: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` of a ``.npy`` magic + header.
+
+    Memoised on the raw bytes: a store's members share a few headers,
+    and parsing one is an ``ast.literal_eval``.  Rejects what
+    ``numpy.load(..., allow_pickle=False)`` rejects, plus negative
+    dimensions and format 3.0 (written only for structured dtypes with
+    non-Latin-1 field names), with ``ValueError``.
+    """
+    fp = io.BytesIO(prefix)
+    version = np.lib.format.read_magic(fp)
+    if version not in _HEADER_READERS:
+        raise ValueError(f"unsupported .npy format version {version}")
+    shape, fortran_order, dtype = _HEADER_READERS[version](fp)
+    if dtype.hasobject:
+        raise ValueError(
+            "Object arrays cannot be loaded when allow_pickle=False"
+        )
+    if any(dim < 0 for dim in shape):
+        raise ValueError(f"negative dimension in .npy shape {shape}")
+    return shape, fortran_order, dtype
 
 
 def _fingerprint_of_meta(meta: dict) -> str:

@@ -38,7 +38,6 @@ merge would have kept sound.
 
 from __future__ import annotations
 
-import io
 import json
 import shutil
 from dataclasses import dataclass, field
@@ -53,6 +52,7 @@ from repro.store.runstore import (
     _UNREADABLE,
     _atomic_write_text,
     _fingerprint_of_meta,
+    _read_arrays,
 )
 
 __all__ = [
@@ -197,14 +197,14 @@ def _payloads_equal(a_meta_raw: bytes, a_npz_raw: bytes,
     if a_meta != b_meta:
         return False
     try:
-        with np.load(io.BytesIO(a_npz_raw)) as a_npz, \
-                np.load(io.BytesIO(b_npz_raw)) as b_npz:
-            for name in _ARRAY_FIELDS:
-                if not np.array_equal(a_npz[name], b_npz[name]):
-                    return False
+        a_arrays = _read_arrays(a_npz_raw)
+        b_arrays = _read_arrays(b_npz_raw)
     except _UNREADABLE:
         return False
-    return True
+    return all(
+        np.array_equal(a_arrays[name], b_arrays[name])
+        for name in _ARRAY_FIELDS
+    )
 
 
 # ----------------------------------------------------------------------

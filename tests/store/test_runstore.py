@@ -1,6 +1,9 @@
 """Unit tests for the content-addressed run store (synthetic results)."""
 
 import json
+import struct
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from repro.experiments import RunConfig, SMOKE
 from repro.experiments.results import RunResult
 from repro.store import RunStore, StoreVersionError
 from repro.store.fingerprint import STORE_FORMAT_VERSION
+from repro.store.runstore import _read_arrays
 
 
 def make_config(seed=0, **overrides):
@@ -51,15 +55,38 @@ def make_result(config) -> RunResult:
     )
 
 
-#: What a torn ``arrays.npz`` write can leave: a prefix, or nothing.
-TORN = ("truncated", "empty")
+#: What can happen to a stored ``arrays.npz``: a torn write leaves a
+#: prefix or nothing; a bit flip on disk or in transit leaves a deflate
+#: stream that fails to inflate.
+DAMAGED = ("truncated", "empty", "bit-flipped")
 
 
-def tear_arrays(store, fp, how) -> None:
-    """Cut one object's ``arrays.npz`` to half its bytes, or to none."""
+def damage_arrays(store, fp, how) -> None:
+    """Damage one object's ``arrays.npz`` in one of the ``DAMAGED`` ways.
+
+    ``truncated`` keeps half the bytes and ``empty`` none.
+    ``bit-flipped`` inverts 20 bytes in the middle of the ``game_bps``
+    member's compressed data; the zip structure stays intact, so only
+    inflating that member fails (``zlib.error``).
+    """
     path = store._object_dir(fp) / "arrays.npz"
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2] if how == "truncated" else b"")
+    data = bytearray(path.read_bytes())
+    if how == "truncated":
+        del data[len(data) // 2:]
+    elif how == "empty":
+        data.clear()
+    else:
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("game_bps.npy")
+        # Local file header: 30 fixed bytes, then the name and extra field.
+        name_len, extra_len = struct.unpack_from(
+            "<HH", data, info.header_offset + 26
+        )
+        start = (info.header_offset + 30 + name_len + extra_len
+                 + info.compress_size // 2 - 10)
+        for i in range(start, start + 20):
+            data[i] ^= 0xFF
+    path.write_bytes(bytes(data))
 
 
 @pytest.fixture
@@ -155,21 +182,28 @@ class TestVerifyGc:
         problems = store.verify()
         assert any("unreadable" in p for p in problems)
 
-    @pytest.mark.parametrize("how", TORN)
+    @pytest.mark.parametrize("how", DAMAGED)
     def test_torn_npz_reported(self, store, how):
         config = make_config()
         fp = store.put(config, make_result(config))
-        tear_arrays(store, fp, how)
+        damage_arrays(store, fp, how)
         (problem,) = store.verify()
         assert problem.startswith(f"{fp}: unreadable object")
 
-    @pytest.mark.parametrize("how", TORN)
+    @pytest.mark.parametrize("how", DAMAGED)
     def test_torn_npz_reads_as_miss(self, store, how):
         config = make_config()
         fp = store.put(config, make_result(config))
-        tear_arrays(store, fp, how)
+        damage_arrays(store, fp, how)
         assert store.get(config) is None
         assert store.get_fp(fp) is None
+
+    def test_bit_flip_breaks_the_deflate_stream(self, store):
+        config = make_config()
+        fp = store.put(config, make_result(config))
+        damage_arrays(store, fp, "bit-flipped")
+        with pytest.raises(zlib.error):
+            _read_arrays((store._object_dir(fp) / "arrays.npz").read_bytes())
 
     def test_tampered_metadata_reported(self, store):
         config = make_config()

@@ -13,7 +13,9 @@ from repro.obs.trace import MemorySink, Tracer
 from repro.store import CampaignError, CampaignScheduler, RunStore
 from repro.store.scheduler import campaign_id
 
-from tests.store.test_runstore import TORN, make_config, make_result, tear_arrays
+from tests.store.test_runstore import (
+    DAMAGED, damage_arrays, make_config, make_result,
+)
 
 
 def _configs(n):
@@ -85,13 +87,13 @@ class TestCacheFirst:
         # ... and the fresh results were persisted for next time.
         assert all(config in store for config in configs)
 
-    @pytest.mark.parametrize("how", TORN)
+    @pytest.mark.parametrize("how", DAMAGED)
     def test_torn_object_reruns(self, tmp_path, how):
         store = RunStore(tmp_path)
         configs = _configs(2)
         for config in configs:
             store.put(config, make_result(config))
-        tear_arrays(store, store.fingerprint(configs[0]), how)
+        damage_arrays(store, store.fingerprint(configs[0]), how)
         executed = []
 
         def runner(config):

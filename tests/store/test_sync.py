@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from repro.store import RunStore, StoreIndex
-from repro.store.sync import merge_stores
+from repro.store.sync import _payloads_equal, merge_stores
 
-from tests.store.test_runstore import TORN, make_config, make_result, tear_arrays
+from tests.store.test_runstore import (
+    DAMAGED, damage_arrays, make_config, make_result,
+)
 
 
 @pytest.fixture
@@ -88,14 +90,25 @@ class TestMergeUnion:
         report = merge_stores(dst, src)
         assert report.conflicts == [fp]
 
-    @pytest.mark.parametrize("how", TORN)
+    @pytest.mark.parametrize("how", DAMAGED)
     def test_torn_destination_object_is_conflict(self, dst, src, how):
         config = make_config()
         fp = dst.put(config, make_result(config))
         src.put(config, make_result(config))
-        tear_arrays(dst, fp, how)
+        damage_arrays(dst, fp, how)
         report = merge_stores(dst, src)
         assert report.conflicts == [fp]
+
+    def test_bit_flipped_payload_is_not_the_same_result(self, dst, src):
+        config = make_config()
+        fp = dst.put(config, make_result(config))
+        src.put(config, make_result(config))
+        damage_arrays(dst, fp, "bit-flipped")
+        flipped = dst.object_bytes(fp)
+        sound = src.object_bytes(fp)
+        assert flipped[0] == sound[0] and flipped[1] != sound[1]
+        assert _payloads_equal(*flipped, *sound) is False
+        assert _payloads_equal(*sound, *flipped) is False
 
     def test_missing_source_object_skipped(self, dst, src):
         config = make_config()

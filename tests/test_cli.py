@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from tests.store.test_runstore import TORN, make_config, make_result, tear_arrays
+from tests.store.test_runstore import DAMAGED, damage_arrays, make_config, make_result
 
 
 def test_run_command_prints_summary(capsys):
@@ -234,14 +234,14 @@ def test_store_verify_reports_corruption(tmp_path, capsys):
     assert "missing arrays.npz" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("how", TORN)
+@pytest.mark.parametrize("how", DAMAGED)
 def test_store_verify_reports_torn_object(tmp_path, capsys, how):
     from repro.store import RunStore
 
     store = RunStore(tmp_path / "store")
     config = make_config()
     fp = store.put(config, make_result(config))
-    tear_arrays(store, fp, how)
+    damage_arrays(store, fp, how)
     assert main(["store", "verify", str(store.root)]) == 1
     assert f"{fp}: unreadable object" in capsys.readouterr().out
 
