@@ -12,9 +12,12 @@ long) version of the paper's 48-hour campaign.
 With ``--store DIR`` completed runs are persisted to a content-addressed
 run store as they finish, so an interrupted campaign resumes where it
 left off and a finished one replays its artefacts from cache in
-seconds.
+seconds.  The store is also where per-run results live:
+``repro-gsnet report DIR`` renders them in any format
+(``--format json`` for the per-condition numbers).
 
 Run:  python examples/full_campaign.py --iterations 2 --store runs/
+      repro-gsnet report runs/
 """
 
 import argparse
@@ -33,8 +36,6 @@ def main() -> None:
     parser.add_argument("--iterations", type=int, default=2)
     parser.add_argument("--profile", choices=sorted(_PROFILES), default="quick")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--out", type=Path, default=None,
-                        help="directory for per-run JSON results")
     parser.add_argument("--store", type=Path, default=None,
                         help="run store directory (cache + resumability)")
     parser.add_argument("--retries", type=int, default=1,
@@ -73,14 +74,6 @@ def main() -> None:
         print(f"interrupted: {len(report.abandoned)} run(s) abandoned; "
               "re-run with the same --store to resume")
         return
-
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for run in report.results:
-            name = (f"{run.system}-{run.cca}-{run.capacity_bps / 1e6:.0f}M-"
-                    f"{run.queue_mult:g}x-s{run.seed}.json")
-            run.save(args.out / name)
-        print(f"per-run results saved to {args.out}/\n")
 
     figures = get_formatter("figures")(aggregate_results(report.results))
     for name, text in sorted(figures.items()):

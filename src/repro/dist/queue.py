@@ -56,7 +56,7 @@ from pathlib import Path
 
 from repro.experiments.config import RunConfig
 from repro.experiments.profiles import Timeline
-from repro.store.runstore import _atomic_write_text
+from repro.store.runstore import _atomic_write_bytes
 
 __all__ = [
     "QueueError",
@@ -210,8 +210,8 @@ class ShardQueue:
         for shard in shards:
             sid = check_id("shard", shard["shard"])
             shard_runs[sid] = len(shard["fingerprints"])
-            _atomic_write_text(
-                queue.pending_dir / f"{sid}.json", json.dumps(shard)
+            _atomic_write_bytes(
+                queue.pending_dir / f"{sid}.json", json.dumps(shard).encode()
             )
         spec = {
             "format": QUEUE_FORMAT,
@@ -224,7 +224,7 @@ class ShardQueue:
         }
         if matrix is not None:
             spec["matrix"] = matrix
-        _atomic_write_text(queue.spec_path, json.dumps(spec))
+        _atomic_write_bytes(queue.spec_path, json.dumps(spec).encode())
         queue._spec = spec
         return queue
 
@@ -290,10 +290,10 @@ class ShardQueue:
                 # damaged rather than ping-ponging between workers.
                 os.rename(target, self.done_dir / f"{path.stem}.json")
                 self._drop_lease(path.stem)
-                _atomic_write_text(
+                _atomic_write_bytes(
                     self.done_dir / f"{path.stem}.info.json",
                     json.dumps({"shard": path.stem, "worker": worker_id,
-                                "damaged": True, "ts": self._clock()}),
+                                "damaged": True, "ts": self._clock()}).encode(),
                 )
                 continue
             # The file name is the id every later verb is keyed on.
@@ -431,8 +431,9 @@ class ShardQueue:
         if info is not None or worker_id is not None:
             record = {"shard": shard_id, "worker": worker_id,
                       "ts": self._clock(), **(info or {})}
-            _atomic_write_text(
-                self.done_dir / f"{shard_id}.info.json", json.dumps(record)
+            _atomic_write_bytes(
+                self.done_dir / f"{shard_id}.info.json",
+                json.dumps(record).encode(),
             )
         return True
 
@@ -445,7 +446,7 @@ class ShardQueue:
     def _write_lease(self, shard_id: str, worker_id: str | None,
                      renewals: int) -> None:
         now = self._clock()
-        _atomic_write_text(
+        _atomic_write_bytes(
             self._lease_path(shard_id),
             json.dumps({
                 "shard": shard_id,
@@ -453,7 +454,7 @@ class ShardQueue:
                 "deadline": now + self.ttl_s,
                 "renewals": renewals,
                 "ts": now,
-            }, separators=(",", ":")),
+            }, separators=(",", ":")).encode(),
         )
 
     def _drop_lease(self, shard_id: str) -> None:
@@ -496,9 +497,9 @@ class ShardQueue:
     def worker_beat(self, worker_id: str, /, **info) -> None:
         """Publish a worker's state; ``worker``/``ts`` override ``info``."""
         record = {**info, "worker": worker_id, "ts": self._clock()}
-        _atomic_write_text(
+        _atomic_write_bytes(
             self.workers_dir / f"{worker_id}.json",
-            json.dumps(record, separators=(",", ":")),
+            json.dumps(record, separators=(",", ":")).encode(),
         )
 
     def workers(self) -> list[dict]:

@@ -53,6 +53,11 @@ class RunConfig:
         return self.cca is not None
 
     @property
+    def timeline_scale(self) -> float:
+        """The timeline's scale, under the name a :class:`RunResult` uses."""
+        return self.timeline.scale
+
+    @property
     def label(self) -> str:
         cca = self.cca or "solo"
         return (

@@ -1,23 +1,38 @@
-"""Results of a single run, and their persistence.
+"""Results of a single run, and how a run store holds them.
 
 A :class:`RunResult` carries everything the analysis layer needs to
 regenerate any table or figure: the binned bitrate series of the game
 and iperf flows, RTT samples, loss statistics, displayed frame rate,
-and the controller's target log.  It is numpy-backed in memory and
-serialises to plain JSON for storage.
+and the controller's target log.  It is numpy-backed in memory.
+
+The dataclass is also the stored schema.  A field's ``kind`` metadata
+says how a stored run holds it:
+
+- ``series``: a 1-D array, one ``arrays.npz`` member;
+- ``pairs``: an ``(n, 2)`` array, one ``arrays.npz`` member, read back
+  in that shape;
+- ``provenance``: a ``meta.json`` value recording how the run executed,
+  not what it produced (a merge ignores it);
+- no ``kind``: a ``meta.json`` value.
+
+``meta.json`` lists its fields in declaration order, followed by the
+derived summaries.  A key that is absent when a run is read takes the
+field's default.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any
 
 import numpy as np
 
-__all__ = ["RunResult"]
+__all__ = ["ARRAYS", "PROVENANCE", "RunResult"]
+
+
+def _stored(kind: str, **default: Any) -> Any:
+    """A field held as ``kind`` in a stored run (see the module docstring)."""
+    return field(metadata={"kind": kind}, **default)
 
 
 @dataclass
@@ -33,9 +48,9 @@ class RunResult:
     timeline_scale: float
 
     # Bitrate series (shared bin centres).
-    times: np.ndarray
-    game_bps: np.ndarray
-    iperf_bps: np.ndarray
+    times: np.ndarray = _stored("series")
+    game_bps: np.ndarray = _stored("series")
+    iperf_bps: np.ndarray = _stored("series")
 
     # Windowed summaries.
     baseline_bps: float  # mean game bitrate, baseline window
@@ -44,7 +59,7 @@ class RunResult:
     solo_bps: float  # mean game bitrate, solo window
 
     # QoE measures.
-    rtt_samples: np.ndarray  # (send_time, rtt) pairs
+    rtt_samples: np.ndarray = _stored("pairs")  # (send_time, rtt)
     game_loss_rate: float
     displayed_fps_contention: float
     displayed_fps_solo: float
@@ -52,12 +67,14 @@ class RunResult:
     frames_dropped: int
 
     # Controller trace.
-    target_log: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    target_log: np.ndarray = _stored(
+        "pairs", default_factory=lambda: np.empty((0, 2))
+    )
 
     # Run provenance and profiling (filled by the runner).
     qdisc: str = "droptail"
-    wall_time_s: float = 0.0
-    profile: dict | None = None
+    wall_time_s: float = _stored("provenance", default=0.0)
+    profile: dict | None = _stored("provenance", default=None)
 
     # ------------------------------------------------------------------
     def rtts_in(self, t_start: float, t_end: float) -> np.ndarray:
@@ -100,88 +117,66 @@ class RunResult:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        # Derived summaries are computed exactly once per serialisation.
-        rtt_summary = self.rtt_summary()
-        fairness_ratio = self.fairness_ratio
+        """Every field in declaration order, arrays as lists, then the
+        derived summaries: the run as plain JSON types."""
+        data = {name: getattr(self, name) for name in _NAMES}
+        for name in ARRAYS:
+            data[name] = data[name].tolist()
+        data.update(self._summaries())
+        return data
+
+    def to_stored(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """``(meta, arrays)``: the run as a store holds it.
+
+        ``meta`` is every non-array field in declaration order, then the
+        derived summaries; ``arrays`` maps each array field to its value.
+        """
+        meta = {name: getattr(self, name) for name in _META}
+        meta.update(self._summaries())
+        return meta, {name: getattr(self, name) for name in ARRAYS}
+
+    def _summaries(self) -> dict:
+        # Derived summaries, for consumers that never load the arrays.
         return {
-            "system": self.system,
-            "cca": self.cca,
-            "capacity_bps": self.capacity_bps,
-            "queue_mult": self.queue_mult,
-            "seed": self.seed,
-            "timeline_scale": self.timeline_scale,
-            "times": self.times.tolist(),
-            "game_bps": self.game_bps.tolist(),
-            "iperf_bps": self.iperf_bps.tolist(),
-            "baseline_bps": self.baseline_bps,
-            "fairness_game_bps": self.fairness_game_bps,
-            "fairness_iperf_bps": self.fairness_iperf_bps,
-            "solo_bps": self.solo_bps,
-            "rtt_samples": self.rtt_samples.tolist(),
-            "game_loss_rate": self.game_loss_rate,
-            "displayed_fps_contention": self.displayed_fps_contention,
-            "displayed_fps_solo": self.displayed_fps_solo,
-            "frames_displayed": self.frames_displayed,
-            "frames_dropped": self.frames_dropped,
-            "target_log": self.target_log.tolist(),
-            "qdisc": self.qdisc,
-            "wall_time_s": self.wall_time_s,
-            "profile": self.profile,
-            # Derived summaries, for consumers that never load the arrays.
-            "rtt_summary": rtt_summary,
-            "fairness_ratio": fairness_ratio,
+            "rtt_summary": self.rtt_summary(),
+            "fairness_ratio": self.fairness_ratio,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunResult":
-        return cls(
-            system=data["system"],
-            cca=data["cca"],
-            capacity_bps=data["capacity_bps"],
-            queue_mult=data["queue_mult"],
-            seed=data["seed"],
-            timeline_scale=data["timeline_scale"],
-            times=np.asarray(data["times"]),
-            game_bps=np.asarray(data["game_bps"]),
-            iperf_bps=np.asarray(data["iperf_bps"]),
-            baseline_bps=data["baseline_bps"],
-            fairness_game_bps=data["fairness_game_bps"],
-            fairness_iperf_bps=data["fairness_iperf_bps"],
-            solo_bps=data["solo_bps"],
-            rtt_samples=np.asarray(data["rtt_samples"]).reshape(-1, 2),
-            game_loss_rate=data["game_loss_rate"],
-            displayed_fps_contention=data["displayed_fps_contention"],
-            displayed_fps_solo=data["displayed_fps_solo"],
-            frames_displayed=data["frames_displayed"],
-            frames_dropped=data["frames_dropped"],
-            target_log=np.asarray(data["target_log"]).reshape(-1, 2),
-            qdisc=data.get("qdisc", "droptail"),
-            wall_time_s=data.get("wall_time_s", 0.0),
-            profile=data.get("profile"),
-        )
+        """The inverse of :meth:`to_dict`, and of :meth:`to_stored`'s
+        two halves merged into one dict.
 
-    def save(self, path: str | Path) -> None:
-        """Write the JSON serialisation atomically.
-
-        The text lands in a temporary file in the destination directory
-        and is published with ``os.replace``, so an interrupted save
-        can never leave a truncated file at ``path``.  Compact
-        separators keep the dominant cost -- the bitrate/RTT arrays --
-        about 10% smaller than json's default ", "/": " padding.
+        A field absent from ``data`` takes its default, and a field with
+        no default raises ``KeyError``.  Derived summaries are ignored.
         """
-        path = Path(path)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(self.to_dict(), separators=(",", ":")))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        values = {
+            name: data[name] for name in _NAMES
+            if name in data or name in _REQUIRED
+        }
+        for name in ARRAYS:
+            if name in values:
+                array = np.asarray(values[name])
+                values[name] = array.reshape(-1, 2) if name in _PAIRS else array
+        return cls(**values)
 
-    @classmethod
-    def load(cls, path: str | Path) -> "RunResult":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+
+_KINDS = {f.name: f.metadata.get("kind") for f in fields(RunResult)}
+_NAMES = tuple(_KINDS)
+_REQUIRED = frozenset(
+    f.name for f in fields(RunResult)
+    if f.default is MISSING and f.default_factory is MISSING
+)
+_PAIRS = frozenset(name for name, kind in _KINDS.items() if kind == "pairs")
+
+#: The ``arrays.npz`` members of a stored run, in declaration order.
+ARRAYS = tuple(
+    name for name, kind in _KINDS.items() if kind in ("series", "pairs")
+)
+_META = tuple(name for name in _NAMES if name not in ARRAYS)
+
+#: The ``meta.json`` keys that record how a run executed, not what it
+#: produced: two honest executions of one config differ only here.
+PROVENANCE = tuple(
+    name for name, kind in _KINDS.items() if kind == "provenance"
+)

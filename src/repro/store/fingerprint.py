@@ -47,6 +47,9 @@ def config_identity(config) -> dict:
     Everything :func:`~repro.experiments.runner.run_single` reads from
     the config is here; two configs with equal identity produce
     bit-identical results (the simulation is deterministic in its seed).
+    A :class:`~repro.experiments.results.RunResult` carries the same
+    fields under the same names, so a stored run's identity -- and its
+    fingerprint -- is read from the result itself.
     """
     return {
         "system": config.system,
@@ -54,13 +57,13 @@ def config_identity(config) -> dict:
         "capacity_bps": float(config.capacity_bps),
         "queue_mult": float(config.queue_mult),
         "seed": int(config.seed),
-        "timeline_scale": float(config.timeline.scale),
+        "timeline_scale": float(config.timeline_scale),
         "qdisc": config.qdisc,
     }
 
 
 def config_fingerprint(config, version: int = STORE_FORMAT_VERSION) -> str:
-    """SHA-256 hex digest keying ``config`` in the run store."""
+    """SHA-256 hex digest keying ``config`` (or its result) in the run store."""
     identity = config_identity(config)
     identity["store_format"] = int(version)
     return hashlib.sha256(canonical_json(identity).encode()).hexdigest()

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.results import RunResult
+from repro.experiments.results import ARRAYS, RunResult
 from repro.store.fingerprint import (
     STORE_FORMAT_VERSION,
     canonical_json,
@@ -50,12 +50,8 @@ from repro.store.fingerprint import (
 
 __all__ = ["RunStore", "StoreVersionError"]
 
-#: RunResult fields held as arrays in ``arrays.npz`` (everything else
-#: lives in ``meta.json``).
-_ARRAY_FIELDS = ("times", "game_bps", "iperf_bps", "rtt_samples", "target_log")
-
 #: What reading an unusable object raises: a missing or unreadable file,
-#: bad JSON or ``.npy`` header, an absent array, and -- from
+#: bad JSON or ``.npy`` header, an absent field or array, and -- from
 #: :func:`_read_arrays` on a torn, empty or bit-flipped ``arrays.npz`` --
 #: ``BadZipFile`` (bad structure or CRC), ``EOFError`` and ``zlib.error``
 #: (a corrupt deflate stream).
@@ -100,8 +96,9 @@ class RunStore:
                     "matching build)"
                 )
         else:
-            _atomic_write_text(
-                marker, canonical_json({"format": STORE_FORMAT_VERSION})
+            _atomic_write_bytes(
+                marker,
+                canonical_json({"format": STORE_FORMAT_VERSION}).encode(),
             )
 
     # ------------------------------------------------------------------
@@ -132,10 +129,11 @@ class RunStore:
         obj = self._object_dir(fp)
         obj.mkdir(parents=True, exist_ok=True)
 
-        data = result.to_dict()
-        arrays = {name: np.asarray(data.pop(name)) for name in _ARRAY_FIELDS}
-        _atomic_write_npz(obj / "arrays.npz", arrays)
-        _atomic_write_text(obj / "meta.json", json.dumps(data))
+        meta, arrays = result.to_stored()
+        _atomic_write_npz(obj / "arrays.npz", {
+            name: _as_stored(array) for name, array in arrays.items()
+        })
+        _atomic_write_bytes(obj / "meta.json", json.dumps(meta).encode())
 
         entry = {"fp": fp, **config_identity(config), "label": config.label}
         self._append_manifest(entry)
@@ -148,11 +146,12 @@ class RunStore:
     def get_fp(self, fp: str) -> RunResult | None:
         obj = self._object_dir(fp)
         try:
-            data = json.loads((obj / "meta.json").read_text())
-            data.update(_read_arrays((obj / "arrays.npz").read_bytes()))
+            return _decode(
+                (obj / "meta.json").read_bytes(),
+                (obj / "arrays.npz").read_bytes(),
+            )
         except _UNREADABLE:
             return None
-        return RunResult.from_dict(data)
 
     # ------------------------------------------------------------------
     # Raw object transfer (the network-transport surface)
@@ -179,7 +178,7 @@ class RunStore:
         store's temp+rename discipline, then the manifest entry is
         appended -- the same publication order :meth:`put` uses, so a
         crash mid-install leaves tmp litter for ``gc``, never a torn
-        object.  Callers own validation (see
+        object.  Callers own validation (:func:`_object_problem`, see
         :func:`repro.store.sync.receive_object`).
         """
         obj = self._object_dir(fp)
@@ -247,8 +246,8 @@ class RunStore:
     def verify(self) -> list[str]:
         """Integrity report; an empty list means the store is sound.
 
-        Checks that every manifest entry has readable object files whose
-        recomputed fingerprint matches its key, and reports object
+        Checks that every manifest entry has object files that pass
+        :func:`_object_problem` under its key, and reports object
         directories the manifest does not know about.
         """
         problems = []
@@ -262,18 +261,11 @@ class RunStore:
                     problems.append(f"{fp}: missing {name}")
             if problems and problems[-1].startswith(fp):
                 continue
-            try:
-                meta = json.loads((obj / "meta.json").read_text())
-                _read_arrays((obj / "arrays.npz").read_bytes())
-            except _UNREADABLE as exc:
-                problems.append(f"{fp}: unreadable object ({exc})")
-                continue
-            recomputed = _fingerprint_of_meta(meta)
-            if recomputed != fp:
-                problems.append(
-                    f"{fp}: metadata fingerprints to {recomputed} "
-                    "(object corrupted or store format drift)"
-                )
+            payload = self.object_bytes(fp)
+            problem = (_object_problem(fp, *payload) if payload
+                       else "unreadable object")
+            if problem:
+                problems.append(f"{fp}: {problem}")
         for obj in self._object_dirs():
             if obj.name not in indexed:
                 problems.append(f"{obj.name}: object not in manifest")
@@ -307,7 +299,7 @@ class RunStore:
         lines = "".join(
             canonical_json(e) + "\n" for e in kept.values()
         )
-        _atomic_write_text(self.manifest_path, lines)
+        _atomic_write_bytes(self.manifest_path, lines.encode())
         return {
             "entries_dropped": dropped_entries,
             "objects_removed": removed_objects,
@@ -371,7 +363,50 @@ class RunStore:
             return None  # torn write: start the campaign over
 
     def save_checkpoint(self, campaign_id: str, state: dict) -> None:
-        _atomic_write_text(self.checkpoint_path(campaign_id), json.dumps(state))
+        _atomic_write_bytes(
+            self.checkpoint_path(campaign_id), json.dumps(state).encode()
+        )
+
+
+def _as_stored(array: np.ndarray) -> np.ndarray:
+    """``array`` as the store writes it: ``np.asarray(array.tolist())``.
+
+    That list round trip fixed the bytes of every stored object, so it
+    stays the definition: values in C order, every float as float64, and
+    an empty array flattened to ``(0,)`` float64 (a run whose controller
+    never logged stores ``target_log`` so).  A non-empty native float64
+    array -- every real series -- comes back as the same values in C
+    order, which :func:`numpy.asarray` gives without the lists.
+    """
+    if array.dtype == np.float64 and array.size:
+        return np.asarray(array, order="C")
+    return np.asarray(array.tolist())
+
+
+def _decode(meta_bytes: bytes, npz_bytes: bytes) -> RunResult:
+    """One stored object as a result (raises :data:`_UNREADABLE`)."""
+    meta = json.loads(meta_bytes)
+    if not isinstance(meta, dict):
+        raise ValueError("meta.json is not a JSON object")
+    return RunResult.from_dict({**meta, **_read_arrays(npz_bytes)})
+
+
+def _object_problem(fp: str, meta_bytes: bytes,
+                    npz_bytes: bytes) -> str | None:
+    """Why these bytes cannot be the object keyed ``fp``, or None.
+
+    The one check every way into a store applies -- ``verify``, a merge
+    and a push: the object must read back as :meth:`RunStore.get_fp`
+    reads it, and the result's identity must fingerprint to ``fp``.
+    """
+    try:
+        recomputed = config_fingerprint(_decode(meta_bytes, npz_bytes))
+    except _UNREADABLE as exc:
+        return f"unreadable object ({exc})"
+    if recomputed != fp:
+        return (f"metadata fingerprints to {recomputed} "
+                "(object corrupted or store format drift)")
+    return None
 
 
 def _read_arrays(npz: bytes) -> dict[str, np.ndarray]:
@@ -387,7 +422,7 @@ def _read_arrays(npz: bytes) -> dict[str, np.ndarray]:
     with zipfile.ZipFile(io.BytesIO(npz)) as zf:
         return {
             name: _decode_npy(zf.read(f"{name}.npy"))
-            for name in _ARRAY_FIELDS
+            for name in ARRAYS
         }
 
 
@@ -436,37 +471,6 @@ def _npy_header(prefix: bytes) -> tuple[tuple[int, ...], bool, np.dtype]:
     if any(dim < 0 for dim in shape):
         raise ValueError(f"negative dimension in .npy shape {shape}")
     return shape, fortran_order, dtype
-
-
-def _fingerprint_of_meta(meta: dict) -> str:
-    """Recompute the fingerprint from a stored object's metadata."""
-    class _Shim:
-        system = meta["system"]
-        cca = meta["cca"]
-        capacity_bps = meta["capacity_bps"]
-        queue_mult = meta["queue_mult"]
-        seed = meta["seed"]
-        qdisc = meta.get("qdisc", "droptail")
-
-        class timeline:
-            scale = meta["timeline_scale"]
-
-    return config_fingerprint(_Shim)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Publish ``text`` at ``path`` via same-directory temp + rename."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:

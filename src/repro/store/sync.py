@@ -5,16 +5,17 @@ Distributed campaigns leave results scattered across per-worker stores;
 ``repro report`` sees everything.  The merge is object-level and keyed
 by fingerprint -- the same content addressing the cache uses:
 
-- a source object whose files are gone, or whose metadata does not
-  fingerprint to its key (a mis-addressed or overwritten object), is
-  **missing**: it is never copied, so it cannot later be served as a
-  cache hit for a config it does not belong to;
+- a source object whose files are gone or unreadable, or whose
+  metadata does not fingerprint to its key (a mis-addressed or
+  overwritten object), is **missing**: it is never copied, so it cannot
+  later be served as a cache hit for a config it does not belong to;
 - a fingerprint only in the source is **copied** (both object files,
   atomic temp+rename) and its manifest entry appended to the union;
 - a fingerprint in both is compared.  Byte-identical objects are plain
-  **duplicates**.  Objects that differ only in provenance
-  (``wall_time_s``, ``profile`` -- per-host execution facts that are
-  not part of the result) are *semantically* compared: equal metadata
+  **duplicates**.  Objects that differ only in provenance (the
+  ``provenance`` fields of :class:`~repro.experiments.results.RunResult`
+  -- per-host execution facts that are not part of the result) are
+  *semantically* compared: equal metadata
   (minus provenance) and element-equal arrays are still duplicates,
   and the destination's copy is kept;
 - anything else is a **conflict**: two hosts produced different results
@@ -39,19 +40,18 @@ merge would have kept sound.
 from __future__ import annotations
 
 import json
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.experiments.results import PROVENANCE
 from repro.store.fingerprint import canonical_json
 from repro.store.runstore import (
     RunStore,
-    _ARRAY_FIELDS,
     _UNREADABLE,
-    _atomic_write_text,
-    _fingerprint_of_meta,
+    _atomic_write_bytes,
+    _object_problem,
     _read_arrays,
 )
 
@@ -70,11 +70,6 @@ OBJECT_BUNDLE_MAGIC = b"RGSO1"
 #: this is a 3-orders-of-magnitude safety margin, not a quota).
 MAX_BUNDLE_BYTES = 256 * 1024 * 1024
 
-#: ``meta.json`` fields that record *how* a run executed, not *what* it
-#: produced.  Two honest executions of the same fingerprint on different
-#: hosts differ here and nowhere else.
-PROVENANCE_FIELDS = ("wall_time_s", "profile")
-
 
 @dataclass
 class MergeReport:
@@ -83,7 +78,7 @@ class MergeReport:
     copied: int = 0
     duplicates: int = 0
     conflicts: list[str] = field(default_factory=list)
-    #: source manifest entries whose objects were missing, torn or
+    #: source manifest entries whose objects were missing, unreadable or
     #: mis-addressed (metadata fingerprinting to another key)
     missing: list[str] = field(default_factory=list)
 
@@ -109,19 +104,18 @@ def merge_stores(dst: RunStore, src: RunStore) -> MergeReport:
     new_entries = []
     for entry in src.ls():
         fp = entry["fp"]
-        src_dir = src._object_dir(fp)
-        if not src.contains_fp(fp) or _fingerprint_problem(
-            fp, (src_dir / "meta.json").read_bytes()
-        ):
+        payload = src.object_bytes(fp)
+        if payload is None or _object_problem(fp, *payload):
             report.missing.append(fp)
             continue
-        if dst.contains_fp(fp):
-            if _objects_equal(dst._object_dir(fp), src_dir):
+        existing = dst.object_bytes(fp)
+        if existing is not None:
+            if _payloads_equal(*existing, *payload):
                 report.duplicates += 1
             else:
                 report.conflicts.append(fp)
             continue
-        _copy_object(src_dir, dst._object_dir(fp))
+        _copy_object(dst._object_dir(fp), *payload)
         new_entries.append(entry)
         report.copied += 1
 
@@ -131,49 +125,27 @@ def merge_stores(dst: RunStore, src: RunStore) -> MergeReport:
         lines = "".join(
             canonical_json(e) + "\n" for e in dst_entries.values()
         )
-        _atomic_write_text(dst.manifest_path, lines)
+        _atomic_write_bytes(dst.manifest_path, lines.encode())
     return report
-
-
-def _fingerprint_problem(fp: str, meta_bytes: bytes) -> str | None:
-    """Why ``meta_bytes`` cannot be the object keyed ``fp``, or None."""
-    try:
-        recomputed = _fingerprint_of_meta(json.loads(meta_bytes))
-    except (ValueError, KeyError, TypeError) as exc:
-        return f"unreadable object metadata: {exc}"
-    if recomputed != fp:
-        return f"object metadata fingerprints to {recomputed}, not {fp}"
-    return None
 
 
 # ----------------------------------------------------------------------
 # Object comparison / copying
 # ----------------------------------------------------------------------
-def _copy_object(src_dir: Path, dst_dir: Path) -> None:
-    """Copy one object's files into the destination store, atomically.
+def _copy_object(dst_dir: Path, meta_bytes: bytes, npz_bytes: bytes) -> None:
+    """Write one validated object into the destination store, atomically.
 
-    Each file is copied to a temp name in its final directory and
+    Each file is written to a temp name in its final directory and
     published with rename, mirroring the store's own write discipline:
     a crash mid-merge leaves ``*.tmp*`` litter for ``gc``, never a
     truncated object that :meth:`RunStore.contains_fp` would trust.
+    The bytes written are the bytes validated.
     """
     dst_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("meta.json", "arrays.npz"):
+    for name, data in (("arrays.npz", npz_bytes), ("meta.json", meta_bytes)):
         tmp = dst_dir / f".{name}.tmp"
-        shutil.copyfile(src_dir / name, tmp)
+        tmp.write_bytes(data)
         tmp.replace(dst_dir / name)
-
-
-def _objects_equal(a_dir: Path, b_dir: Path) -> bool:
-    """Whether two stored objects represent the same run result."""
-    try:
-        a_meta_raw = (a_dir / "meta.json").read_bytes()
-        b_meta_raw = (b_dir / "meta.json").read_bytes()
-        a_npz_raw = (a_dir / "arrays.npz").read_bytes()
-        b_npz_raw = (b_dir / "arrays.npz").read_bytes()
-    except OSError:
-        return False
-    return _payloads_equal(a_meta_raw, a_npz_raw, b_meta_raw, b_npz_raw)
 
 
 def _payloads_equal(a_meta_raw: bytes, a_npz_raw: bytes,
@@ -191,8 +163,10 @@ def _payloads_equal(a_meta_raw: bytes, a_npz_raw: bytes,
         b_meta = json.loads(b_meta_raw)
     except ValueError:
         return False
+    if not (isinstance(a_meta, dict) and isinstance(b_meta, dict)):
+        return False
     for meta in (a_meta, b_meta):
-        for name in PROVENANCE_FIELDS:
+        for name in PROVENANCE:
             meta.pop(name, None)
     if a_meta != b_meta:
         return False
@@ -202,8 +176,8 @@ def _payloads_equal(a_meta_raw: bytes, a_npz_raw: bytes,
     except _UNREADABLE:
         return False
     return all(
-        np.array_equal(a_arrays[name], b_arrays[name])
-        for name in _ARRAY_FIELDS
+        np.array_equal(array, b_arrays[name])
+        for name, array in a_arrays.items()
     )
 
 
@@ -278,15 +252,15 @@ def receive_object(store: RunStore, fp: str, entry: dict,
     surface the disagreement, exactly like a directory merge).
 
     Raises ``ValueError`` when the push is internally inconsistent:
-    entry/URL fingerprint mismatch, or metadata that does not
-    fingerprint to ``fp`` (a corrupt or mis-addressed upload must
-    never enter the store).
+    entry/URL fingerprint mismatch, an object that does not read back,
+    or metadata that does not fingerprint to ``fp`` (a corrupt or
+    mis-addressed upload must never enter the store).
     """
     if entry.get("fp") != fp:
         raise ValueError(
             f"bundle entry is for {entry.get('fp')!r}, not {fp!r}"
         )
-    problem = _fingerprint_problem(fp, meta_bytes)
+    problem = _object_problem(fp, meta_bytes, npz_bytes)
     if problem:
         raise ValueError(problem)
     existing = store.object_bytes(fp)

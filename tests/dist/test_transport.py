@@ -1,6 +1,7 @@
 """Tests for the pluggable queue transports and the no-shared-filesystem
 worker deployment (claim over HTTP, run locally, push objects back)."""
 
+import dataclasses
 import socket
 import threading
 
@@ -18,7 +19,9 @@ from repro.dist.transport import (
 from repro.store import RunStore
 from repro.store.fingerprint import config_fingerprint
 
-from tests.store.test_runstore import make_config, make_result
+from tests.store.test_runstore import (
+    DAMAGED, damage_arrays, make_config, make_result,
+)
 
 
 def fake_run(config, timeout_s=None, attempt=1):
@@ -172,8 +175,29 @@ class TestHttpTransport:
         assert transport.push_object(entry, meta_bytes, npz_bytes) == "stored"
         # Same fingerprint, different arrays: the serve-side store keeps
         # its copy and the pusher sees the conflict.
-        corrupt = npz_bytes[:-10] + bytes(10)
-        assert transport.push_object(entry, meta_bytes, corrupt) == "conflict"
+        other = RunStore(tmp_path / "other")
+        result = make_result(config)
+        other.put(config, dataclasses.replace(
+            result, game_bps=result.game_bps * 2.0
+        ))
+        assert transport.push_object(entry, *other.object_bytes(fp)) == "conflict"
+        assert coord.object_bytes(fp) == (meta_bytes, npz_bytes)
+
+    @pytest.mark.parametrize("how", DAMAGED)
+    def test_push_of_damaged_object_is_400(self, coord, service, tmp_path,
+                                           how):
+        config = make_config(seed=0)
+        local = RunStore(tmp_path / "local")
+        fp = local.put(config, make_result(config))
+        damage_arrays(local, fp, how)
+        entry = {e["fp"]: e for e in local.ls()}[fp]
+        with pytest.raises(TransportError) as err:
+            HttpTransport(service.url).push_object(
+                entry, *local.object_bytes(fp)
+            )
+        assert err.value.status == 400
+        assert "unreadable object" in str(err.value)
+        assert not coord.contains_fp(fp)
 
     def test_pull_missing_object_is_none(self, coord, service):
         assert HttpTransport(service.url).pull_object("ab" * 16) is None
@@ -279,6 +303,28 @@ class TestHttpWorker:
         assert report.cache_hits == 3
         assert report.pulled == 3     # objects came down the wire
         assert report.pushed == 0     # nothing new to send back
+
+    def test_damaged_cached_object_is_run_locally(self, coord, service,
+                                                  tmp_path):
+        configs, enq = enqueue(coord, n=3)
+        DistWorker(store=RunStore(tmp_path / "w1"), queue_url=service.url,
+                   run_fn=fake_run, worker_id="hw1").run()
+        damaged = config_fingerprint(configs[0])
+        damage_arrays(coord, damaged, "bit-flipped")
+
+        root = queue_root(coord, enq.campaign_id)
+        for path in sorted((root / "done").glob("*.json")):
+            if "." not in path.stem:
+                path.rename(root / "pending" / path.name)
+        fresh = RunStore(tmp_path / "w2")
+        report = DistWorker(
+            store=fresh, queue_url=service.url,
+            run_fn=fake_run, worker_id="hw2",
+        ).run()
+        assert report.pulled == 2     # the damaged object was refused
+        assert report.executed == 1
+        assert report.cache_hits == 2
+        assert fresh.verify() == []
 
     def test_dead_http_worker_lease_stolen_and_converges(
         self, coord, service, tmp_path, clock

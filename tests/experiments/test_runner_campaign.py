@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.experiments import Campaign, RunConfig, SMOKE, run_single
-from repro.experiments.results import RunResult
 from repro.report import aggregate_results
 from repro.sim.engine import Simulator
+from repro.store import RunStore
 
 
 @pytest.fixture(scope="module")
@@ -61,29 +61,12 @@ class TestRunSingle:
         assert 0 <= r.game_loss_rate < 0.2
         assert 0 < r.displayed_fps_contention <= 62
 
-    def test_json_roundtrip(self, competing_result, tmp_path):
-        path = tmp_path / "run.json"
-        competing_result.save(path)
-        loaded = RunResult.load(path)
-        assert loaded.system == competing_result.system
-        assert np.allclose(loaded.game_bps, competing_result.game_bps)
-        assert np.allclose(loaded.rtt_samples, competing_result.rtt_samples)
-
-    def test_save_is_atomic(self, competing_result, tmp_path):
-        # The JSON is published by rename: no temp litter on success,
-        # and a failing save leaves the previous file untouched.
-        path = tmp_path / "run.json"
-        competing_result.save(path)
-        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
-        before = path.read_text()
-
-        broken = RunResult.load(path)
-        broken.profile = object()  # json.dumps will raise
-        with pytest.raises(TypeError):
-            broken.save(path)
-        assert path.read_text() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
-
+    def test_store_roundtrip(self, competing_result, tmp_path):
+        cfg = RunConfig("stadia", 25e6, 2.0, cca="cubic", seed=7, timeline=SMOKE)
+        store = RunStore(tmp_path)
+        store.put(cfg, competing_result)
+        loaded = store.get(cfg)
+        assert loaded.to_dict() == competing_result.to_dict()
 
     def test_finished_run_leaves_no_testbed_behind(self):
         # The testbed's simulator, events and bound methods form one

@@ -21,13 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.experiments.results import ARRAYS
 from repro.store import RunStore
-from repro.store.runstore import (
-    _ARRAY_FIELDS,
-    _UNREADABLE,
-    _npy_header,
-    _read_arrays,
-)
+from repro.store.runstore import _UNREADABLE, _npy_header, _read_arrays
 
 from tests.store.test_runstore import make_config, make_result
 
@@ -53,7 +49,7 @@ def _zip(**npy_members: bytes) -> bytes:
     """An ``arrays.npz`` built member by member from raw ``.npy`` bytes."""
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as zf:
-        for name in _ARRAY_FIELDS:
+        for name in ARRAYS:
             raw = npy_members.get(name, _npy(np.arange(3.0)))
             zf.writestr(f"{name}.npy", raw)
     return buf.getvalue()
@@ -73,14 +69,14 @@ _SERIES = st.tuples(
 
 
 @settings(max_examples=150, deadline=None)
-@given(series=st.tuples(*[_SERIES] * len(_ARRAY_FIELDS)))
+@given(series=st.tuples(*[_SERIES] * len(ARRAYS)))
 def test_decoder_equals_np_load(series):
-    raw = _savez(**dict(zip(_ARRAY_FIELDS, series)))
+    raw = _savez(**dict(zip(ARRAYS, series)))
     got = _read_arrays(raw)
     with np.load(io.BytesIO(raw)) as npz:
-        want = {name: npz[name] for name in _ARRAY_FIELDS}
-    assert list(got) == list(_ARRAY_FIELDS)
-    for name in _ARRAY_FIELDS:
+        want = {name: npz[name] for name in ARRAYS}
+    assert list(got) == list(ARRAYS)
+    for name in ARRAYS:
         a, b = got[name], want[name]
         assert a.dtype == b.dtype
         assert a.shape == b.shape
@@ -92,7 +88,7 @@ def test_decoder_equals_np_load(series):
 
 def test_fortran_order_is_kept():
     series = np.asfortranarray(np.arange(12.0).reshape(6, 2))
-    raw = _savez(**{name: series for name in _ARRAY_FIELDS})
+    raw = _savez(**{name: series for name in ARRAYS})
     got = _read_arrays(raw)["rtt_samples"]
     assert got.flags.f_contiguous and not got.flags.c_contiguous
     assert np.array_equal(got, series)
@@ -101,7 +97,7 @@ def test_fortran_order_is_kept():
 class TestUnreadable:
     def test_object_member_is_rejected(self):
         raw = _savez(**{
-            name: np.array([1, "a"], dtype=object) for name in _ARRAY_FIELDS
+            name: np.array([1, "a"], dtype=object) for name in ARRAYS
         })
         with pytest.raises(ValueError, match="allow_pickle"):
             _read_arrays(raw)
@@ -114,7 +110,7 @@ class TestUnreadable:
         fp = store.put(config, make_result(config))
         path = store._object_dir(fp) / "arrays.npz"
         with np.load(path) as npz:
-            members = {name: npz[name] for name in _ARRAY_FIELDS}
+            members = {name: npz[name] for name in ARRAYS}
         members["target_log"] = np.array([{"pickled": True}], dtype=object)
         path.write_bytes(_savez(**members))
         assert store.get_fp(fp) is None
@@ -136,7 +132,7 @@ class TestUnreadable:
         fp = store.put(config, make_result(config))
         path = store._object_dir(fp) / "arrays.npz"
         with np.load(path) as npz:
-            members = {name: _npy(npz[name]) for name in _ARRAY_FIELDS}
+            members = {name: _npy(npz[name]) for name in ARRAYS}
         members["times"] = members["times"][:-16]
         path.write_bytes(_zip(**members))
         assert store.get_fp(fp) is None
@@ -174,9 +170,9 @@ def test_header_cache_stays_bounded():
 
 def test_shared_headers_are_parsed_once():
     _npy_header.cache_clear()
-    raw = _savez(**{name: np.arange(5.0) for name in _ARRAY_FIELDS})
+    raw = _savez(**{name: np.arange(5.0) for name in ARRAYS})
     for _ in range(3):
         _read_arrays(raw)
     info = _npy_header.cache_info()
     assert info.misses == 1
-    assert info.hits == 3 * len(_ARRAY_FIELDS) - 1
+    assert info.hits == 3 * len(ARRAYS) - 1

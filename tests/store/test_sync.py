@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.store import RunStore, StoreIndex
-from repro.store.sync import _payloads_equal, merge_stores
+from repro.store.sync import _payloads_equal, merge_stores, receive_object
 
 from tests.store.test_runstore import (
     DAMAGED, damage_arrays, make_config, make_result,
@@ -99,6 +99,16 @@ class TestMergeUnion:
         report = merge_stores(dst, src)
         assert report.conflicts == [fp]
 
+    def test_destination_meta_that_is_not_an_object_is_conflict(self, dst,
+                                                                src):
+        config = make_config()
+        fp = dst.put(config, make_result(config))
+        src.put(config, make_result(config))
+        path = dst._object_dir(fp) / "meta.json"
+        path.write_text(json.dumps(list(json.loads(path.read_text()).values())))
+        report = merge_stores(dst, src)
+        assert report.conflicts == [fp]
+
     def test_bit_flipped_payload_is_not_the_same_result(self, dst, src):
         config = make_config()
         fp = dst.put(config, make_result(config))
@@ -109,6 +119,28 @@ class TestMergeUnion:
         assert flipped[0] == sound[0] and flipped[1] != sound[1]
         assert _payloads_equal(*flipped, *sound) is False
         assert _payloads_equal(*sound, *flipped) is False
+
+    @pytest.mark.parametrize("how", DAMAGED)
+    def test_damaged_source_object_is_missing(self, dst, src, how):
+        config = make_config()
+        fp = src.put(config, make_result(config))
+        damage_arrays(src, fp, how)
+        report = merge_stores(dst, src)
+        assert report.missing == [fp]
+        assert report.copied == 0
+        assert not dst.contains_fp(fp)
+        assert dst.verify() == []
+
+    @pytest.mark.parametrize("how", DAMAGED)
+    def test_damaged_push_is_rejected(self, dst, src, how):
+        config = make_config()
+        fp = src.put(config, make_result(config))
+        damage_arrays(src, fp, how)
+        (entry,) = src.ls()
+        with pytest.raises(ValueError, match="unreadable object"):
+            receive_object(dst, fp, entry, *src.object_bytes(fp))
+        assert not dst.contains_fp(fp)
+        assert dst.ls() == []
 
     def test_missing_source_object_skipped(self, dst, src):
         config = make_config()
