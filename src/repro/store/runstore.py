@@ -33,8 +33,8 @@ import io
 import json
 import math
 import os
+import struct
 import tempfile
-import zipfile
 import zlib
 from pathlib import Path
 
@@ -50,14 +50,13 @@ from repro.store.fingerprint import (
 
 __all__ = ["RunStore", "StoreVersionError"]
 
-#: What reading an unusable object raises: a missing or unreadable file,
-#: bad JSON or ``.npy`` header, an absent field or array, and -- from
-#: :func:`_read_arrays` on a torn, empty or bit-flipped ``arrays.npz`` --
-#: ``BadZipFile`` (bad structure or CRC), ``EOFError`` and ``zlib.error``
-#: (a corrupt deflate stream).
-_UNREADABLE = (
-    OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, zlib.error,
-)
+#: What reading an unusable object raises: ``OSError`` for a missing or
+#: unreadable file; ``ValueError`` for bad JSON, a bad ``.npy`` header or
+#: payload, and every structural fault :func:`_read_arrays` finds in
+#: ``arrays.npz`` (torn, empty, a damaged zip header, an unsupported or
+#: encrypted member, a wrong size or CRC); ``KeyError`` for an absent
+#: field or member; and ``zlib.error`` for a corrupt deflate stream.
+_UNREADABLE = (OSError, ValueError, KeyError, zlib.error)
 
 
 class StoreVersionError(RuntimeError):
@@ -412,18 +411,153 @@ def _object_problem(fp: str, meta_bytes: bytes,
 def _read_arrays(npz: bytes) -> dict[str, np.ndarray]:
     """Decode the series of one ``arrays.npz`` (raises :data:`_UNREADABLE`).
 
-    The store's only array reader, in place of ``numpy.load``: stdlib
-    ``zipfile`` inflates each ``<name>.npy`` member (checking its CRC),
-    numpy's safe header reader parses the ``.npy`` header once per
-    distinct header (:func:`_npy_header`), and the payload is copied out
-    into a writable array.  It reads what ``np.savez_compressed`` writes
-    exactly as ``numpy.load(..., allow_pickle=False)`` does.
+    The store's only array reader, in place of ``numpy.load``: one
+    ``struct`` pass over the zip layout ``np.savez_compressed`` writes
+    finds each ``<name>.npy`` member (:func:`_zip_members`) and inflates
+    it to exactly its declared size, checking its CRC-32
+    (:func:`_member_bytes`); numpy's safe header reader parses the
+    ``.npy`` header once per distinct header (:func:`_npy_header`), and
+    the payload is copied out into a writable array.  It reads what
+    ``np.savez_compressed`` writes exactly as
+    ``numpy.load(..., allow_pickle=False)`` does.
+
+    Objects arrive from any host through ``dist serve``, so no byte is
+    trusted: every record read is bounds-checked, no member inflates
+    past its declared size or past what deflate can make of its
+    compressed bytes, and malformed input raises only
+    :data:`_UNREADABLE` types -- never ``struct.error``,
+    ``RuntimeError`` or ``NotImplementedError``.
     """
-    with zipfile.ZipFile(io.BytesIO(npz)) as zf:
+    try:
+        cd_offset, members = _zip_members(npz)
         return {
-            name: _decode_npy(zf.read(f"{name}.npy"))
-            for name in ARRAYS
+            name: _decode_npy(_member_bytes(npz, cd_offset, members, member))
+            for name, member in zip(ARRAYS, _MEMBER_NAMES)
         }
+    except struct.error as exc:
+        raise ValueError(f"arrays.npz: truncated zip record ({exc})") from exc
+
+
+_MEMBER_NAMES = tuple(f"{name}.npy".encode() for name in ARRAYS)
+
+# The three zip records the reader parses (APPNOTE 4.3.7, 4.3.12, 4.3.16).
+_LOCAL = struct.Struct("<4s22xHH")
+_CENTRAL = struct.Struct("<4s2xHHH4xLLLHHH8xL")
+_END = struct.Struct("<4sHHHHLLH")
+_EXTRA = struct.Struct("<HH")
+_U64 = struct.Struct("<Q")
+_ZIP64_MARK = 0xFFFFFFFF
+
+#: The newest "version needed to extract" the reader implements: zip64
+#: (4.5) with stored or deflated members; later versions add methods and
+#: encryption it does not.
+_ZIP_VERSION = 45
+
+#: General-purpose flag bits that change how a member's bytes must be
+#: read -- encrypted (0), compressed patched data (5), strong encryption
+#: (6); ``zipfile`` refuses each of them too.
+_REFUSED_FLAGS = 0x0001 | 0x0020 | 0x0040
+
+#: Deflate emits at most 258 bytes per 2 bits of input, so a member
+#: declaring more than this many bytes per compressed byte is damaged.
+_DEFLATE_MAX_RATIO = 1032
+
+
+def _zip_members(npz: bytes) -> tuple[int, dict[bytes, tuple]]:
+    """The central directory's offset and its entries by member name.
+
+    Each entry is ``(flags, method, crc, compressed size, size, local
+    header offset)``.  Accepts only the single-disk, comment-free layout
+    ``zipfile`` writes, with the central directory ending exactly where
+    the end record begins; zip64 sizes and offsets are read from the
+    zip64 extra field.
+    """
+    end = len(npz) - _END.size
+    if end < 0:
+        raise ValueError("arrays.npz is shorter than a zip end record")
+    (signature, disk, cd_disk, disk_count, count,
+     cd_size, cd_offset, comment_len) = _END.unpack_from(npz, end)
+    if signature != b"PK\x05\x06" or comment_len:
+        raise ValueError("arrays.npz does not end in a zip end record")
+    if disk or cd_disk or disk_count != count:
+        raise ValueError("arrays.npz spans more than one disk")
+    if cd_offset + cd_size != end:
+        raise ValueError("zip central directory does not end at the end record")
+    members = {}
+    pos = cd_offset
+    for _ in range(count):
+        (signature, version, flags, method, crc, csize, size, name_len,
+         extra_len, comment_len, offset) = _CENTRAL.unpack_from(npz, pos)
+        if signature != b"PK\x01\x02" or version > _ZIP_VERSION:
+            raise ValueError("bad zip central directory entry")
+        pos += _CENTRAL.size
+        name = npz[pos:pos + name_len]
+        pos += name_len
+        if _ZIP64_MARK in (size, csize, offset):
+            size, csize, offset = _zip64(npz[pos:pos + extra_len],
+                                         [size, csize, offset])
+        if name in members:
+            raise ValueError(f"duplicate zip member {name!r}")
+        members[name] = (flags, method, crc, csize, size, offset)
+        pos += extra_len + comment_len
+    if pos != end:
+        raise ValueError("zip central directory size does not match its entries")
+    return cd_offset, members
+
+
+def _zip64(extra: bytes, fields: list[int]) -> list[int]:
+    """``fields`` (size, compressed size, offset) with each ``0xFFFFFFFF``
+    replaced, in that order, from the zip64 extra field (APPNOTE 4.5.3)."""
+    pos = 0
+    while pos + _EXTRA.size <= len(extra):
+        tag, length = _EXTRA.unpack_from(extra, pos)
+        pos += _EXTRA.size
+        if tag == 1:
+            data = extra[pos:pos + length]
+            at = 0
+            for i, value in enumerate(fields):
+                if value == _ZIP64_MARK:
+                    (fields[i],) = _U64.unpack_from(data, at)
+                    at += _U64.size
+            return fields
+        pos += length
+    raise ValueError("zip64 size without a zip64 extra field")
+
+
+def _member_bytes(npz: bytes, cd_offset: int, members: dict[bytes, tuple],
+                  name: bytes) -> bytes:
+    """The inflated bytes of member ``name``, checked against its entry."""
+    try:
+        flags, method, crc, csize, size, offset = members[name]
+    except KeyError:
+        raise KeyError(f"arrays.npz has no member {name.decode()}") from None
+    if flags & _REFUSED_FLAGS:
+        raise ValueError(f"{name.decode()} is encrypted or patched")
+    signature, name_len, extra_len = _LOCAL.unpack_from(npz, offset)
+    start = offset + _LOCAL.size
+    if signature != b"PK\x03\x04" or npz[start:start + name_len] != name:
+        raise ValueError(f"bad zip local header for {name.decode()}")
+    start += name_len + extra_len
+    if start + csize > cd_offset:
+        raise ValueError(f"{name.decode()} runs into the central directory")
+    data = npz[start:start + csize]
+    if method == 0:
+        raw = data
+    elif method == 8:
+        if size > _DEFLATE_MAX_RATIO * csize:
+            raise ValueError(f"{name.decode()} declares an impossible size")
+        inflater = zlib.decompressobj(-15)
+        raw = inflater.decompress(data, size + 1)
+        if (not inflater.eof or inflater.unconsumed_tail
+                or inflater.unused_data):
+            raise ValueError(f"{name.decode()}: deflate stream is not "
+                             "exactly its compressed size")
+    else:
+        raise ValueError(f"{name.decode()}: unsupported compression "
+                         f"method {method}")
+    if len(raw) != size or zlib.crc32(raw) != crc:
+        raise ValueError(f"{name.decode()}: size or CRC-32 mismatch")
+    return raw
 
 
 _HEADER_READERS = {

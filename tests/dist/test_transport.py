@@ -304,13 +304,14 @@ class TestHttpWorker:
         assert report.pulled == 3     # objects came down the wire
         assert report.pushed == 0     # nothing new to send back
 
+    @pytest.mark.parametrize("how", DAMAGED)
     def test_damaged_cached_object_is_run_locally(self, coord, service,
-                                                  tmp_path):
+                                                  tmp_path, how):
         configs, enq = enqueue(coord, n=3)
         DistWorker(store=RunStore(tmp_path / "w1"), queue_url=service.url,
                    run_fn=fake_run, worker_id="hw1").run()
         damaged = config_fingerprint(configs[0])
-        damage_arrays(coord, damaged, "bit-flipped")
+        damage_arrays(coord, damaged, how)
 
         root = queue_root(coord, enq.campaign_id)
         for path in sorted((root / "done").glob("*.json")):

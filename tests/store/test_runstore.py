@@ -57,8 +57,14 @@ def make_result(config) -> RunResult:
 
 #: What can happen to a stored ``arrays.npz``: a torn write leaves a
 #: prefix or nothing; a bit flip on disk or in transit leaves a deflate
-#: stream that fails to inflate.
-DAMAGED = ("truncated", "empty", "bit-flipped")
+#: stream that fails to inflate, or a zip header naming a compression
+#: method or an encryption the store never writes.
+DAMAGED = ("truncated", "empty", "bit-flipped", "method-flipped",
+           "flag-flipped")
+
+#: Where bit 0 is flipped in the ``*-flipped`` header cases: offsets into
+#: a 46-byte central directory entry.
+_CENTRAL_FIELD = {"method-flipped": 10, "flag-flipped": 8}
 
 
 def damage_arrays(store, fp, how) -> None:
@@ -67,7 +73,10 @@ def damage_arrays(store, fp, how) -> None:
     ``truncated`` keeps half the bytes and ``empty`` none.
     ``bit-flipped`` inverts 20 bytes in the middle of the ``game_bps``
     member's compressed data; the zip structure stays intact, so only
-    inflating that member fails (``zlib.error``).
+    inflating that member fails (``zlib.error``).  ``method-flipped``
+    and ``flag-flipped`` flip bit 0 of the compression method (deflate
+    becomes deflate64) or of the flags (encrypted) in the central
+    directory entry of ``times.npy``.
     """
     path = store._object_dir(fp) / "arrays.npz"
     data = bytearray(path.read_bytes())
@@ -75,6 +84,12 @@ def damage_arrays(store, fp, how) -> None:
         del data[len(data) // 2:]
     elif how == "empty":
         data.clear()
+    elif how in _CENTRAL_FIELD:
+        # The central directory follows every member, so the last copy
+        # of the name is its entry's, after 46 fixed bytes.
+        entry = data.rindex(b"times.npy") - 46
+        assert data[entry:entry + 4] == b"PK\x01\x02"
+        data[entry + _CENTRAL_FIELD[how]] ^= 0x01
     else:
         with zipfile.ZipFile(path) as zf:
             info = zf.getinfo("game_bps.npy")
