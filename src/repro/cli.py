@@ -73,7 +73,7 @@ import sys
 import repro
 from repro.analysis.render import render_table
 from repro.experiments import Campaign, PAPER, QUICK, RunConfig, SMOKE, run_single
-from repro.experiments.conditions import SYSTEM_NAMES
+from repro.experiments.conditions import SYSTEM_NAMES, condition_grid
 from repro.obs import (
     JsonlSink,
     MetricsRecorder,
@@ -101,72 +101,10 @@ __all__ = ["main"]
 _TIMELINES = {"paper": PAPER, "quick": QUICK, "smoke": SMOKE}
 
 
-def _add_matrix_args(parser: argparse.ArgumentParser) -> None:
-    """The condition-matrix sweep arguments ``campaign`` and
-    ``dist coordinate`` share, so both expand the same grid to the same
-    fingerprints (the distributed acceptance criterion depends on it)."""
-    parser.add_argument(
-        "--systems", nargs="+", choices=sorted(SYSTEMS),
-        default=sorted(SYSTEMS), metavar="SYSTEM",
-    )
-    parser.add_argument(
-        "--ccas", nargs="+", choices=sorted(CCA_REGISTRY) + ["solo"],
-        default=["cubic", "bbr"], metavar="CCA",
-        help="competing flows to sweep ('solo' = no competitor)",
-    )
-    parser.add_argument(
-        "--capacities", nargs="+", type=float, default=[15.0, 25.0, 35.0],
-        metavar="MBPS", help="bottleneck capacities, Mb/s",
-    )
-    parser.add_argument(
-        "--queues", nargs="+", type=float, default=[0.5, 2.0, 7.0],
-        metavar="MULT", help="queue sizes, multiples of BDP",
-    )
-    parser.add_argument("--iterations", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed (iteration i adds i)")
-    parser.add_argument(
-        "--profile", choices=sorted(_TIMELINES), default="quick",
-    )
-
-
-def _matrix_configs(args: argparse.Namespace) -> list[RunConfig]:
-    """Expand the sweep grid into configs (same order as always)."""
-    timeline = _TIMELINES[args.profile]
-    return [
-        RunConfig(
-            system=system,
-            capacity_bps=capacity * 1e6,
-            queue_mult=queue,
-            cca=None if cca == "solo" else cca,
-            seed=args.seed + iteration,
-            timeline=timeline,
-        )
-        for iteration in range(args.iterations)
-        for cca in args.ccas
-        for capacity in args.capacities
-        for queue in args.queues
-        for system in args.systems
-    ]
-
-
-def _add_condition_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--system", choices=sorted(SYSTEMS), required=True)
-    parser.add_argument(
-        "--cca", choices=sorted(CCA_REGISTRY), default=None,
-        help="competing TCP congestion control (omit for a solo run)",
-    )
-    parser.add_argument(
-        "--capacity", type=float, default=25.0, help="bottleneck capacity, Mb/s"
-    )
-    parser.add_argument(
-        "--queue", type=float, default=2.0, help="queue size, multiples of BDP"
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--profile", choices=sorted(_TIMELINES), default="quick",
-        help="timeline scale (paper = full 9-minute runs)",
-    )
+def _flags() -> argparse.ArgumentParser:
+    """A parent parser: flags declared once, added to a command with
+    ``parents=[...]``."""
+    return argparse.ArgumentParser(add_help=False)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -177,11 +115,96 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {repro.__version__}"
     )
+
+    # Every flag more than one command takes, declared once.
+    json_flag = _flags()
+    json_flag.add_argument("--json", action="store_true",
+                           help="emit machine-readable JSON")
+    store = _flags()
+    store.add_argument(
+        "--store", metavar="DIR", default=None,
+        help="run store directory: serve runs from it when present, "
+             "persist them otherwise",
+    )
+    profile = _flags()
+    profile.add_argument(
+        "--profile", choices=sorted(_TIMELINES), default="quick",
+        help="timeline scale (paper = full 9-minute runs)",
+    )
+    seed = _flags()
+    seed.add_argument("--seed", type=int, default=0,
+                      help="base seed (iteration i adds i)")
+    iterations = _flags()
+    iterations.add_argument("--iterations", type=int, default=3,
+                            help="runs per condition")
+    poll = _flags()
+    poll.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
+                      help="delay between queue scans")
+    execution = _flags()
+    execution.add_argument("--workers", type=int, default=1,
+                           help="process-pool width")
+    execution.add_argument(
+        "--retries", type=int, default=1,
+        help="extra attempts per failing run (capped exponential backoff)",
+    )
+    execution.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="per-run wall-clock budget; a run exceeding it is killed "
+             "and retried like any other failure",
+    )
+    execution.add_argument(
+        "--chaos", metavar="SPEC", default=None,
+        help="deterministic fault injection for soak testing, e.g. "
+             "'crash=0.2,exc=0.3,seed=7' "
+             "(keys: crash/hang/exc rates, seed, hang_s, once)",
+    )
+    execution.add_argument(
+        "--seed-batch", type=int, default=1, metavar="N",
+        help="group up to N same-condition seeds into one dispatch "
+             "unit executed in-process (store contents are identical "
+             "to per-run dispatch)",
+    )
+    cell = _flags()  # one condition
+    cell.add_argument("--system", choices=sorted(SYSTEMS), required=True)
+    cell.add_argument(
+        "--cca", choices=sorted(CCA_REGISTRY), default=None,
+        help="competing TCP congestion control (omit for a solo run)",
+    )
+    cell.add_argument("--capacity", type=float, default=25.0,
+                      help="bottleneck capacity, Mb/s")
+    cell.add_argument("--queue", type=float, default=2.0,
+                      help="queue size, multiples of BDP")
+    # A sweep of conditions.  campaign and dist coordinate share it, so
+    # both expand the same grid to the same fingerprints (the
+    # distributed acceptance criterion depends on it).
+    matrix = _flags()
+    matrix.add_argument(
+        "--systems", nargs="+", choices=sorted(SYSTEMS),
+        default=sorted(SYSTEMS), metavar="SYSTEM",
+    )
+    matrix.add_argument(
+        "--ccas", nargs="+", choices=sorted(CCA_REGISTRY) + ["solo"],
+        default=["cubic", "bbr"], metavar="CCA",
+        help="competing flows to sweep ('solo' = no competitor)",
+    )
+    matrix.add_argument(
+        "--capacities", nargs="+", type=float, default=[15.0, 25.0, 35.0],
+        metavar="MBPS", help="bottleneck capacities, Mb/s",
+    )
+    matrix.add_argument(
+        "--queues", nargs="+", type=float, default=[0.5, 2.0, 7.0],
+        metavar="MULT", help="queue sizes, multiples of BDP",
+    )
+
+    def command(subparsers, name, handler, help, parents=()):
+        leaf = subparsers.add_parser(name, help=help, parents=list(parents))
+        leaf.set_defaults(handler=handler)
+        return leaf
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="run one configuration")
-    _add_condition_args(run_parser)
-    run_parser.add_argument("--json", action="store_true", help="emit JSON")
+    run_parser = command(sub, "run", _cmd_run, "run one configuration",
+                         [cell, seed, profile, store, json_flag])
     run_parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a JSONL tracepoint stream to PATH",
@@ -194,12 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile-sim", action="store_true",
         help="profile the event loop and report per-callback wall time",
     )
-
-    run_parser.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="run store directory: serve this config from cache if "
-             "present, persist the result otherwise",
-    )
     run_parser.add_argument(
         "--seeds", type=int, nargs="+", metavar="SEED", default=None,
         help="run this condition once per seed, in one process "
@@ -207,39 +224,18 @@ def _build_parser() -> argparse.ArgumentParser:
              "--trace/--metrics/--profile-sim)",
     )
 
-    cond_parser = sub.add_parser("condition", help="run several iterations")
-    _add_condition_args(cond_parser)
-    cond_parser.add_argument("--iterations", type=int, default=3)
+    command(sub, "condition", _cmd_condition, "run several iterations",
+            [cell, seed, profile, iterations])
 
-    campaign_parser = sub.add_parser(
-        "campaign",
-        help="run a (resumable) grid of conditions against a run store",
-    )
-    _add_matrix_args(campaign_parser)
-    campaign_parser.add_argument("--workers", type=int, default=1)
-    campaign_parser.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="run store directory (enables caching, checkpoints, resume)",
+    campaign_parser = command(
+        sub, "campaign", _cmd_campaign,
+        "run a (resumable) grid of conditions against a run store",
+        [matrix, iterations, seed, profile, execution, store, json_flag],
     )
     campaign_parser.add_argument(
         "--resume", action="store_true",
         help="with --store: report configs the checkpoint records as "
              "permanently failed instead of re-executing them",
-    )
-    campaign_parser.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts per failing run (capped exponential backoff)",
-    )
-    campaign_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-run wall-clock budget; a run exceeding it is killed "
-             "and retried like any other failure",
-    )
-    campaign_parser.add_argument(
-        "--chaos", metavar="SPEC", default=None,
-        help="deterministic fault injection for soak testing, e.g. "
-             "'crash=0.2,exc=0.3,seed=7' "
-             "(keys: crash/hang/exc rates, seed, hang_s, once)",
     )
     campaign_parser.add_argument(
         "--no-cache", action="store_true",
@@ -249,47 +245,41 @@ def _build_parser() -> argparse.ArgumentParser:
         "--partial", action="store_true",
         help="record persistently failing configs instead of aborting",
     )
-    campaign_parser.add_argument(
-        "--seed-batch", type=int, default=1, metavar="N",
-        help="group up to N same-condition seeds into one dispatch "
-             "unit executed in-process (store contents are identical "
-             "to per-run dispatch)",
-    )
-    campaign_parser.add_argument("--json", action="store_true",
-                                 help="emit a machine-readable summary")
 
-    store_parser = sub.add_parser("store", help="run-store maintenance")
-    store_sub = store_parser.add_subparsers(dest="store_command", required=True)
-    for name, help_text in (
-        ("ls", "list stored runs (manifest order)"),
-        ("verify", "check store integrity; exit 1 on problems"),
-        ("gc", "drop orphans, stray temp files, stale manifest entries"),
+    store_sub = sub.add_parser(
+        "store", help="run-store maintenance"
+    ).add_subparsers(dest="store_command", required=True)
+    for name, handler, help_text, parents in (
+        ("ls", _cmd_store_ls, "list stored runs (manifest order)",
+         [json_flag]),
+        ("verify", _cmd_store_verify,
+         "check store integrity; exit 1 on problems", []),
+        ("gc", _cmd_store_gc,
+         "drop orphans, stray temp files, stale manifest entries", []),
     ):
-        store_cmd = store_sub.add_parser(name, help=help_text)
-        store_cmd.add_argument("path", help="store directory")
-        if name == "ls":
-            store_cmd.add_argument("--json", action="store_true")
-    store_merge = store_sub.add_parser(
-        "merge",
-        help="fold source stores into a destination (manifest-union, "
-             "object dedupe by fingerprint); exit 1 on conflicts",
+        command(store_sub, name, handler, help_text, parents).add_argument(
+            "path", help="store directory (must already be a store)"
+        )
+    store_merge = command(
+        store_sub, "merge", _cmd_store_merge,
+        "fold source stores into a destination (manifest-union, "
+        "object dedupe by fingerprint); exit 1 on conflicts",
+        [json_flag],
     )
     store_merge.add_argument("dest", help="destination store (created if new)")
     store_merge.add_argument("sources", nargs="+", metavar="SRC",
                              help="source store directories")
-    store_merge.add_argument("--json", action="store_true")
 
-    dist_parser = sub.add_parser(
+    dist_sub = sub.add_parser(
         "dist", help="distributed campaign fabric (coordinator/workers/service)"
-    )
-    dist_sub = dist_parser.add_subparsers(dest="dist_command", required=True)
+    ).add_subparsers(dest="dist_command", required=True)
 
-    dist_coord = dist_sub.add_parser(
-        "coordinate",
-        help="expand the matrix, dedupe against the store, enqueue "
-             "shards, and watch until workers drain the queue",
+    dist_coord = command(
+        dist_sub, "coordinate", _cmd_dist_coordinate,
+        "expand the matrix, dedupe against the store, enqueue "
+        "shards, and watch until workers drain the queue",
+        [matrix, iterations, seed, profile, poll, json_flag],
     )
-    _add_matrix_args(dist_coord)
     dist_coord.add_argument(
         "--store", metavar="DIR", required=True,
         help="coordinator store (hosts the queue, heartbeat, and dedupe)",
@@ -308,20 +298,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="enqueue and exit instead of watching for convergence",
     )
     dist_coord.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS",
-        help="watch-loop poll interval",
-    )
-    dist_coord.add_argument(
         "--watch-timeout", type=float, default=None, metavar="SECONDS",
         help="give up watching after this long (queue is left intact)",
     )
-    dist_coord.add_argument("--json", action="store_true")
 
-    dist_work = dist_sub.add_parser(
-        "work",
-        help="worker loop: claim shards from a coordinator store or a "
-             "dist-serve endpoint, run them through the scheduler, "
-             "renew leases, heartbeat",
+    dist_work = command(
+        dist_sub, "work", _cmd_dist_work,
+        "worker loop: claim shards from a coordinator store or a "
+        "dist-serve endpoint, run them through the scheduler into "
+        "--store (default: the coordinator store), renew leases, heartbeat",
+        [execution, store, poll, json_flag],
     )
     dist_work.add_argument(
         "queue_store", nargs="?", default=None,
@@ -335,40 +321,12 @@ def _build_parser() -> argparse.ArgumentParser:
              "and finished objects are pushed back over HTTP",
     )
     dist_work.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="result store for this worker (default: the coordinator "
-             "store itself -- the shared-directory deployment; "
-             "required with --queue-url)",
-    )
-    dist_work.add_argument(
         "--campaign", metavar="ID", default=None,
         help="serve only this campaign (default: all queues found)",
     )
     dist_work.add_argument(
         "--worker-id", metavar="ID", default=None,
         help="stable worker identity (default: <hostname>-<pid>)",
-    )
-    dist_work.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool width per shard (the scheduler's workers)",
-    )
-    dist_work.add_argument(
-        "--seed-batch", type=int, default=1, metavar="N",
-        help="group up to N same-condition seeds of a shard into one "
-             "dispatch unit executed in-process",
-    )
-    dist_work.add_argument("--retries", type=int, default=1)
-    dist_work.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-run wall-clock budget",
-    )
-    dist_work.add_argument(
-        "--chaos", metavar="SPEC", default=None,
-        help="deterministic fault injection (same spec as campaign)",
-    )
-    dist_work.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS",
-        help="idle delay between queue scans",
     )
     dist_work.add_argument(
         "--max-shards", type=int, default=None, metavar="N",
@@ -388,22 +346,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="test hook: hard-exit the worker process after RUNS "
              "completed runs (lease left to expire and be stolen)",
     )
-    dist_work.add_argument("--json", action="store_true")
 
-    dist_serve = dist_sub.add_parser(
-        "serve",
-        help="publish a store's campaign state AND queue API over HTTP: "
-             "GET /status, /workers, /campaigns/<id>[/spec|/queue], "
-             "GET|PUT /objects/<fp>, POST /campaigns/<id>/"
-             "{claim,renew,complete,fail,beat} -- the --queue-url side",
+    dist_serve = command(
+        dist_sub, "serve", _cmd_dist_serve,
+        "publish a store's campaign state and queue API over HTTP "
+        "(the --queue-url side; routes: see repro.dist.service)",
     )
     dist_serve.add_argument("path", help="store directory")
     dist_serve.add_argument("--host", default="127.0.0.1")
     dist_serve.add_argument("--port", type=int, default=8765)
 
-    report_parser = sub.add_parser(
-        "report",
-        help="aggregate stored runs into tables/figures (never simulates)",
+    report_parser = command(
+        sub, "report", _cmd_report,
+        "aggregate stored runs into tables/figures (never simulates)",
     )
     report_parser.add_argument("path", help="store directory")
     report_parser.add_argument(
@@ -420,8 +375,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the formatter's files under DIR instead of stdout",
     )
 
-    status_parser = sub.add_parser(
-        "status", help="show live campaign progress from the heartbeat stream"
+    status_parser = command(
+        sub, "status", _cmd_status,
+        "show live campaign progress from the heartbeat stream", [json_flag],
     )
     status_parser.add_argument(
         "path", nargs="?", default=None,
@@ -440,75 +396,91 @@ def _build_parser() -> argparse.ArgumentParser:
         "--history", type=int, default=0, metavar="N",
         help="also show the last N heartbeat records per campaign",
     )
-    status_parser.add_argument(
-        "--json", action="store_true", help="emit the latest snapshots as JSON"
-    )
 
-    table1 = sub.add_parser("table1", help="baseline bitrates (paper Table 1)")
-    table1.add_argument("--iterations", type=int, default=3)
-    table1.add_argument(
-        "--profile", choices=sorted(_TIMELINES), default="quick",
-    )
+    command(sub, "table1", _cmd_table1, "baseline bitrates (paper Table 1)",
+            [iterations, profile])
 
-    inspect_parser = sub.add_parser(
-        "inspect", help="summarise a JSONL trace captured with run --trace"
-    )
-    inspect_parser.add_argument("trace", help="path to the JSONL trace")
-    inspect_parser.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
-    )
+    command(
+        sub, "inspect", _cmd_inspect,
+        "summarise a JSONL trace captured with run --trace", [json_flag],
+    ).add_argument("trace", help="path to the JSONL trace")
 
-    list_parser = sub.add_parser("list", help="enumerate available options")
-    list_parser.add_argument(
+    command(sub, "list", _cmd_list, "enumerate available options").add_argument(
         "what", choices=("systems", "ccas", "profiles", "qdiscs"),
     )
     return parser
 
 
-class _StoreUnusable(Exception):
-    """A store directory that cannot be opened; ends the command."""
+class _Refused(Exception):
+    """Ends a command: :func:`main` prints ``error: <message>`` and
+    exits with ``code``."""
+
+    def __init__(self, message: object, code: int = 1):
+        super().__init__(str(message))
+        self.code = code
 
 
-def _open_store(path: str | None) -> RunStore | None:
+def _open_store(path: str | None, create: bool = True) -> RunStore | None:
     """The run store at ``path``, or None when no path was given.
 
-    A path that cannot hold a store (a file, an unreadable directory,
-    another store format) raises :class:`_StoreUnusable`, which
-    :func:`main` turns into ``error: ...`` and exit status 1.
+    With ``create=False`` a path that is not already a store is refused
+    (nothing is created).  A path that cannot hold a store (a file, an
+    unreadable directory, another store format) is refused too.
     """
     if not path:
         return None
     try:
-        return RunStore(path)
+        return RunStore(path, create=create)
     except (OSError, ValueError, StoreVersionError) as exc:
-        raise _StoreUnusable(str(exc)) from None
+        raise _Refused(exc) from None
 
 
-def _make_config(args: argparse.Namespace, seed: int | None = None) -> RunConfig:
-    return RunConfig(
-        system=args.system,
-        capacity_bps=args.capacity * 1e6,
-        queue_mult=args.queue,
-        cca=args.cca,
-        seed=args.seed if seed is None else seed,
-        timeline=_TIMELINES[args.profile],
-    )
+def _configs(args, ccas, capacities, queues, systems,
+             seeds=None) -> list[RunConfig]:
+    """The configs of one grid: each seed (the outer loop) over every
+    :func:`condition_grid` cell, at ``--profile``'s timeline.
+
+    Capacities are Mb/s, and a cca of None or ``"solo"`` runs without a
+    competitor.  Seeds default to ``--seed`` + iteration for each of
+    ``--iterations``.
+    """
+    if seeds is None:
+        seeds = range(args.seed, args.seed + args.iterations)
+    timeline = _TIMELINES[args.profile]
+    return [
+        RunConfig(
+            system=system,
+            capacity_bps=capacity * 1e6,
+            queue_mult=queue,
+            cca=None if cca == "solo" else cca,
+            seed=seed,
+            timeline=timeline,
+        )
+        for seed in seeds
+        for cca, capacity, queue, system in condition_grid(
+            ccas, capacities, queues, systems
+        )
+    ]
+
+
+def _cell_configs(args, seeds=None) -> list[RunConfig]:
+    return _configs(args, [args.cca], [args.capacity], [args.queue],
+                    [args.system], seeds)
+
+
+def _matrix_configs(args) -> list[RunConfig]:
+    return _configs(args, args.ccas, args.capacities, args.queues,
+                    args.systems)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    configs = _cell_configs(args, args.seeds or [args.seed])
     if args.seeds:
         if args.trace or args.metrics or args.profile_sim:
-            print(
-                "error: --seeds cannot be combined with "
-                "--trace/--metrics/--profile-sim",
-                file=sys.stderr,
-            )
-            return 2
+            raise _Refused("--seeds cannot be combined with "
+                           "--trace/--metrics/--profile-sim", 2)
         store = _open_store(args.store)
-        results = [
-            run_single(_make_config(args, seed), store=store)
-            for seed in args.seeds
-        ]
+        results = [run_single(config, store=store) for config in configs]
         if args.json:
             print(json.dumps([result.to_dict() for result in results]))
             return 0
@@ -528,15 +500,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             tracer.attach(JsonlSink(args.trace))
         except OSError as exc:
-            print(f"error: cannot open trace file: {exc}", file=sys.stderr)
-            return 1
+            raise _Refused(f"cannot open trace file: {exc}") from None
     metrics = MetricsRecorder() if args.metrics else None
     profiler = SimProfiler() if args.profile_sim else None
     store = _open_store(args.store)
 
     try:
         result = run_single(
-            _make_config(args), tracer=tracer, metrics=metrics,
+            configs[0], tracer=tracer, metrics=metrics,
             sim_profiler=profiler, store=store,
         )
     finally:
@@ -577,8 +548,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     try:
         events = load_trace(args.trace)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _Refused(exc) from None
     summary = summarize_trace(events)
     if args.json:
         print(json.dumps(summary))
@@ -600,8 +570,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_condition(args: argparse.Namespace) -> int:
-    configs = [_make_config(args, seed=args.seed + i) for i in range(args.iterations)]
-    results = Campaign().run(configs).report.results
+    results = Campaign().run(_cell_configs(args)).report.results
     condition = aggregate_results(results, keep_bands=False).get(
         args.system, args.cca, args.capacity * 1e6, args.queue
     )
@@ -627,15 +596,13 @@ def _cmd_condition(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.resume and not args.store:
-        print("error: --resume requires --store", file=sys.stderr)
-        return 2
+        raise _Refused("--resume requires --store", 2)
     chaos = None
     if args.chaos:
         try:
             chaos = ChaosSpec.parse(args.chaos)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _Refused(exc, 2) from None
     configs = _matrix_configs(args)
     store = _open_store(args.store)
 
@@ -727,66 +694,34 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if report.failures else 0
 
 
-def _render_merge(label: str, report) -> str:
-    line = (f"{label}: {report.copied} copied | "
-            f"{report.duplicates} duplicate(s)")
-    if report.missing:
-        line += f" | {len(report.missing)} source object(s) missing"
-    if report.conflicts:
-        line += f" | {len(report.conflicts)} CONFLICT(S)"
-    return line
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    if args.store_command == "merge":
-        from repro.store.sync import merge_stores
-
-        try:
-            dest = _open_store(args.dest)
-            reports = [
-                (src, merge_stores(dest, _open_store(src)))
-                for src in args.sources
-            ]
-        except (OSError, ValueError, StoreVersionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        conflicts = [fp for _, report in reports for fp in report.conflicts]
-        if args.json:
-            print(json.dumps({
-                label: report.to_dict() for label, report in reports
-            }))
-        else:
-            for label, report in reports:
-                print(_render_merge(label, report))
-            for fp in conflicts:
-                print(f"  CONFLICT {fp}: source and destination hold "
-                      "different results for the same fingerprint "
-                      "(destination kept)", file=sys.stderr)
-        return 1 if conflicts else 0
-
-    store = _open_store(args.path)
-    if args.store_command == "ls":
-        if getattr(args, "json", False):
-            # Machine-readable listing: manifest entries enriched with
-            # each object's on-disk size and mtime.
-            print(json.dumps(store.ls(stat=True)))
-            return 0
-        entries = store.ls()
-        for entry in entries:
-            print(f"{entry['fp'][:12]}  {entry['label']}")
-        print(f"{len(entries)} stored run(s)")
+def _cmd_store_ls(args: argparse.Namespace) -> int:
+    store = _open_store(args.path, create=False)
+    if args.json:
+        # Machine-readable listing: manifest entries enriched with
+        # each object's on-disk size and mtime.
+        print(json.dumps(store.ls(stat=True)))
         return 0
-    if args.store_command == "verify":
-        problems = store.verify()
-        for problem in problems:
-            print(problem)
-        if problems:
-            print(f"{len(problems)} problem(s)")
-            return 1
-        print(f"ok ({len(store.ls())} entries)")
-        return 0
-    # gc
-    stats = store.gc()
+    entries = store.ls()
+    for entry in entries:
+        print(f"{entry['fp'][:12]}  {entry['label']}")
+    print(f"{len(entries)} stored run(s)")
+    return 0
+
+
+def _cmd_store_verify(args: argparse.Namespace) -> int:
+    store = _open_store(args.path, create=False)
+    problems = store.verify()
+    for problem in problems:
+        print(problem)
+    if problems:
+        print(f"{len(problems)} problem(s)")
+        return 1
+    print(f"ok ({len(store.ls())} entries)")
+    return 0
+
+
+def _cmd_store_gc(args: argparse.Namespace) -> int:
+    stats = _open_store(args.path, create=False).gc()
     print(f"kept {stats['entries_kept']} entries | "
           f"dropped {stats['entries_dropped']} stale manifest entries | "
           f"removed {stats['objects_removed']} orphan objects, "
@@ -794,13 +729,44 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_store_merge(args: argparse.Namespace) -> int:
+    from repro.store.sync import merge_stores
+
+    # Every source must already be a store before the destination is
+    # created or anything is copied.
+    sources = [(src, _open_store(src, create=False)) for src in args.sources]
+    dest = _open_store(args.dest)
+    try:
+        reports = [(label, merge_stores(dest, src)) for label, src in sources]
+    except (OSError, ValueError, StoreVersionError) as exc:
+        raise _Refused(exc) from None
+    conflicts = [fp for _, report in reports for fp in report.conflicts]
+    if args.json:
+        print(json.dumps({
+            label: report.to_dict() for label, report in reports
+        }))
+    else:
+        for label, report in reports:
+            line = (f"{label}: {report.copied} copied | "
+                    f"{report.duplicates} duplicate(s)")
+            if report.missing:
+                line += f" | {len(report.missing)} source object(s) missing"
+            if report.conflicts:
+                line += f" | {len(report.conflicts)} CONFLICT(S)"
+            print(line)
+        for fp in conflicts:
+            print(f"  CONFLICT {fp}: source and destination hold "
+                  "different results for the same fingerprint "
+                  "(destination kept)", file=sys.stderr)
+    return 1 if conflicts else 0
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     store = _open_store(args.path)
     try:
         where = parse_where(args.where)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(exc, 2) from None
     formatter = get_formatter(args.format)
     try:
         report = aggregate_store(
@@ -811,8 +777,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             keep_bands=(args.format == "figures"),
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Refused(exc, 2) from None
     files = formatter(report)
     if args.out:
         from pathlib import Path
@@ -834,8 +799,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _remote_statuses(args: argparse.Namespace) -> list[dict] | None:
-    """Campaign statuses from a ``dist serve`` endpoint, or None on error.
+def _remote_statuses(args: argparse.Namespace) -> list[dict]:
+    """Campaign statuses from a ``dist serve`` endpoint.
 
     Shaped like :func:`campaign_status` output so the local renderer
     applies unchanged; ``--history`` pulls the per-campaign trail.
@@ -846,8 +811,7 @@ def _remote_statuses(args: argparse.Namespace) -> list[dict] | None:
     try:
         snapshot = fetch_status(args.url)
     except TransportError as exc:
-        print(f"error: cannot read {args.url}: {exc}", file=sys.stderr)
-        return None
+        raise _Refused(f"cannot read {args.url}: {exc}") from None
     campaigns = [
         c for c in snapshot.get("campaigns", [])
         if c.get("last") is not None
@@ -871,12 +835,9 @@ def _remote_statuses(args: argparse.Namespace) -> list[dict] | None:
 
 def _cmd_status(args: argparse.Namespace) -> int:
     if args.url is None and args.path is None:
-        print("error: give a store directory or --url", file=sys.stderr)
-        return 2
+        raise _Refused("give a store directory or --url", 2)
     if args.url is not None:
         statuses = _remote_statuses(args)
-        if statuses is None:
-            return 1
         source = args.url
     else:
         store = _open_store(args.path)
@@ -903,161 +864,147 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_dist(args: argparse.Namespace) -> int:
-    from repro.dist import Coordinator, DistWorker, WatchTimeout
+def _cmd_dist_coordinate(args: argparse.Namespace) -> int:
+    from repro.dist import Coordinator, WatchTimeout
+
+    if args.shard_size < 1:
+        raise _Refused("--shard-size must be >= 1", 2)
+    coordinator = Coordinator(
+        _open_store(args.store), shard_size=args.shard_size, ttl_s=args.ttl
+    )
+    enq = coordinator.enqueue(_matrix_configs(args))
+    summary = {"campaign_id": enq.campaign_id, "total": enq.total,
+               "cached": enq.cached, "enqueued": enq.enqueued,
+               "shards": enq.shards, "created": enq.created}
+    if not args.json:
+        verb = "enqueued" if enq.created else "attached to"
+        print(f"campaign {enq.campaign_id}: {verb} {enq.shards} shard(s) "
+              f"({enq.enqueued} runs; {enq.cached}/{enq.total} pre-done "
+              f"from cache) in {enq.queue_root}")
+    if args.enqueue_only:
+        if args.json:
+            print(json.dumps(summary))
+        return 0
+
+    seen = {}
+
+    def progress(status):
+        key = (len(status["pending"]), len(status["claimed"]),
+               len(status["done"]), status["done_runs"])
+        if not args.json and seen.get("key") != key:
+            seen["key"] = key
+            done = status["cached_runs"] + status["done_runs"]
+            print(f"  [{done}/{status['total_runs']}] "
+                  f"{len(status['pending'])} pending / "
+                  f"{len(status['claimed'])} claimed / "
+                  f"{len(status['done'])} done shard(s)"
+                  + (f", stole {status['stolen_now']}"
+                     if status.get("stolen_now") else ""))
+
+    try:
+        final = coordinator.watch(
+            enq.campaign_id, poll_s=args.poll,
+            timeout_s=args.watch_timeout, progress=progress,
+        )
+    except WatchTimeout as exc:
+        raise _Refused(exc) from None
+    except KeyboardInterrupt:
+        print("\nwatch interrupted; the queue is intact -- re-run "
+              "'dist coordinate' with the same matrix to reattach")
+        return 130
+    done = final["cached_runs"] + final["done_runs"]
+    if args.json:
+        summary["done_runs"] = done
+        for key in ("executed", "cache_hits", "failed", "retries", "timeouts"):
+            summary[key] = final[key]
+        print(json.dumps(summary))
+    else:
+        print(f"campaign {enq.campaign_id}: converged, "
+              f"{done}/{final['total_runs']} runs "
+              f"({final['executed']} executed by workers, "
+              f"{final['failed']} failed)")
+    return 1 if final["failed"] else 0
+
+
+def _cmd_dist_work(args: argparse.Namespace) -> int:
+    from repro.dist import DistWorker
+
+    if (args.queue_store is None) == (args.queue_url is None):
+        raise _Refused("dist work needs exactly one queue source: a "
+                       "coordinator store directory, or --queue-url", 2)
+    if args.queue_url is not None and args.store is None:
+        raise _Refused("--queue-url needs --store (the worker's own "
+                       "result store; there is no shared directory to "
+                       "default to)", 2)
+    coord_store = _open_store(args.queue_store)
+    store = _open_store(args.store) if args.store else coord_store
+    try:
+        worker = DistWorker(
+            coord_store,
+            store=store,
+            queue_url=args.queue_url,
+            campaign=args.campaign,
+            worker_id=args.worker_id,
+            inner_workers=args.workers,
+            seed_batch=args.seed_batch,
+            retries=args.retries,
+            timeout=args.timeout,
+            chaos=args.chaos,
+            poll_s=args.poll,
+            exit_when_done=not args.keep_alive,
+            max_shards=args.max_shards,
+            idle_timeout_s=args.idle_exit,
+            kill_after_runs=args.chaos_kill_after,
+        )
+    except ValueError as exc:
+        raise _Refused(exc, 2) from None
+
+    progress = None
+    if not args.json:
+        def progress(shard, shard_report, completed):
+            state = "done" if completed else "lost (stolen+finished)"
+            print(f"  shard {shard.id}: {state}, "
+                  f"{shard_report.executed} executed, "
+                  f"{shard_report.cache_hits} cached, "
+                  f"{len(shard_report.failures)} failed")
+        source = args.queue_url or args.queue_store
+        print(f"worker {worker.worker_id}: serving {source} "
+              f"-> {store.root}")
+    try:
+        report = worker.run(progress=progress)
+    except KeyboardInterrupt:
+        print("\nworker interrupted; unfinished leases will expire "
+              "and be stolen")
+        return 130
+    if args.json:
+        print(json.dumps(report.to_dict()))
+    else:
+        shipping = (
+            f" | {report.pulled} pulled, {report.pushed} pushed"
+            + (f", {report.push_conflicts} push conflict(s)"
+               if report.push_conflicts else "")
+        ) if args.queue_url else ""
+        print(f"worker {report.worker_id}: {report.shards_done} shard(s) "
+              f"done, {report.shards_lost} lost | {report.executed} "
+              f"executed, {report.cache_hits} cached, "
+              f"{report.failed} failed | {report.stolen} lease(s) stolen"
+              f"{shipping}")
+    # A push conflict means the service refused an object that
+    # disagrees with its store -- version skew or corruption; the
+    # worker must not exit clean over it.
+    return 1 if (report.failed or report.push_conflicts) else 0
+
+
+def _cmd_dist_serve(args: argparse.Namespace) -> int:
     from repro.dist.service import CampaignService
 
-    if args.dist_command == "coordinate":
-        if args.shard_size < 1:
-            print("error: --shard-size must be >= 1", file=sys.stderr)
-            return 2
-        store = _open_store(args.store)
-        coordinator = Coordinator(
-            store, shard_size=args.shard_size, ttl_s=args.ttl
-        )
-        enq = coordinator.enqueue(_matrix_configs(args))
-        if not args.json:
-            verb = "enqueued" if enq.created else "attached to"
-            print(f"campaign {enq.campaign_id}: {verb} {enq.shards} shard(s) "
-                  f"({enq.enqueued} runs; {enq.cached}/{enq.total} pre-done "
-                  f"from cache) in {enq.queue_root}")
-        if args.enqueue_only:
-            if args.json:
-                print(json.dumps({"campaign_id": enq.campaign_id,
-                                  "total": enq.total, "cached": enq.cached,
-                                  "enqueued": enq.enqueued,
-                                  "shards": enq.shards,
-                                  "created": enq.created}))
-            return 0
-
-        seen = {}
-
-        def progress(status):
-            key = (len(status["pending"]), len(status["claimed"]),
-                   len(status["done"]), status["done_runs"])
-            if not args.json and seen.get("key") != key:
-                seen["key"] = key
-                done = status["cached_runs"] + status["done_runs"]
-                print(f"  [{done}/{status['total_runs']}] "
-                      f"{len(status['pending'])} pending / "
-                      f"{len(status['claimed'])} claimed / "
-                      f"{len(status['done'])} done shard(s)"
-                      + (f", stole {status['stolen_now']}"
-                         if status.get("stolen_now") else ""))
-
-        try:
-            final = coordinator.watch(
-                enq.campaign_id, poll_s=args.poll,
-                timeout_s=args.watch_timeout, progress=progress,
-            )
-        except WatchTimeout as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except KeyboardInterrupt:
-            print("\nwatch interrupted; the queue is intact -- re-run "
-                  "'dist coordinate' with the same matrix to reattach")
-            return 130
-        done = final["cached_runs"] + final["done_runs"]
-        if args.json:
-            print(json.dumps({"campaign_id": enq.campaign_id,
-                              "total": enq.total, "cached": enq.cached,
-                              "enqueued": enq.enqueued,
-                              "shards": enq.shards, "created": enq.created,
-                              "done_runs": done,
-                              "executed": final["executed"],
-                              "cache_hits": final["cache_hits"],
-                              "failed": final["failed"],
-                              "retries": final["retries"],
-                              "timeouts": final["timeouts"]}))
-        else:
-            print(f"campaign {enq.campaign_id}: converged, "
-                  f"{done}/{final['total_runs']} runs "
-                  f"({final['executed']} executed by workers, "
-                  f"{final['failed']} failed)")
-        return 1 if final["failed"] else 0
-
-    if args.dist_command == "work":
-        if (args.queue_store is None) == (args.queue_url is None):
-            print("error: dist work needs exactly one queue source: a "
-                  "coordinator store directory, or --queue-url",
-                  file=sys.stderr)
-            return 2
-        if args.queue_url is not None and args.store is None:
-            print("error: --queue-url needs --store (the worker's own "
-                  "result store; there is no shared directory to default "
-                  "to)", file=sys.stderr)
-            return 2
-        coord_store = _open_store(args.queue_store)
-        store = _open_store(args.store) if args.store else coord_store
-        try:
-            worker = DistWorker(
-                coord_store,
-                store=store,
-                queue_url=args.queue_url,
-                campaign=args.campaign,
-                worker_id=args.worker_id,
-                inner_workers=args.workers,
-                seed_batch=args.seed_batch,
-                retries=args.retries,
-                timeout=args.timeout,
-                chaos=args.chaos,
-                poll_s=args.poll,
-                exit_when_done=not args.keep_alive,
-                max_shards=args.max_shards,
-                idle_timeout_s=args.idle_exit,
-                kill_after_runs=args.chaos_kill_after,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-        progress = None
-        if not args.json:
-            def progress(shard, shard_report, completed):
-                state = "done" if completed else "lost (stolen+finished)"
-                print(f"  shard {shard.id}: {state}, "
-                      f"{shard_report.executed} executed, "
-                      f"{shard_report.cache_hits} cached, "
-                      f"{len(shard_report.failures)} failed")
-            source = args.queue_url or args.queue_store
-            print(f"worker {worker.worker_id}: serving {source} "
-                  f"-> {store.root}")
-        try:
-            report = worker.run(progress=progress)
-        except KeyboardInterrupt:
-            print("\nworker interrupted; unfinished leases will expire "
-                  "and be stolen")
-            return 130
-        if args.json:
-            print(json.dumps(report.to_dict()))
-        else:
-            shipping = (
-                f" | {report.pulled} pulled, {report.pushed} pushed"
-                + (f", {report.push_conflicts} push conflict(s)"
-                   if report.push_conflicts else "")
-            ) if args.queue_url else ""
-            print(f"worker {report.worker_id}: {report.shards_done} shard(s) "
-                  f"done, {report.shards_lost} lost | {report.executed} "
-                  f"executed, {report.cache_hits} cached, "
-                  f"{report.failed} failed | {report.stolen} lease(s) stolen"
-                  f"{shipping}")
-        # A push conflict means the service refused an object that
-        # disagrees with its store -- version skew or corruption; the
-        # worker must not exit clean over it.
-        return 1 if (report.failed or report.push_conflicts) else 0
-
-    # serve
     store = _open_store(args.path)
     try:
         service = CampaignService(store, host=args.host, port=args.port)
     except OSError as exc:
-        print(f"error: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
+        raise _Refused(f"cannot bind {args.host}:{args.port}: {exc}") from None
     print(f"serving {store.root} at {service.url} "
-          "(GET /status /workers /campaigns/<id>[/spec|/queue] "
-          "/objects/<fp>; POST claim/renew/complete/fail/beat; "
-          "PUT /objects/<fp>; ctrl-c to stop)")
+          "(routes: see repro.dist.service; ctrl-c to stop)")
     try:
         service.serve_forever()
     except KeyboardInterrupt:
@@ -1068,19 +1015,9 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    timeline = _TIMELINES[args.profile]
-    configs = [
-        RunConfig(
-            system=system,
-            capacity_bps=1e9,
-            queue_mult=2.0,
-            cca=None,
-            seed=i,
-            timeline=timeline,
-        )
-        for i in range(args.iterations)
-        for system in SYSTEM_NAMES
-    ]
+    # No competitor, no constraint (1 Gb/s): seeds are the iterations.
+    configs = _configs(args, [None], [1e3], [2.0], SYSTEM_NAMES,
+                       seeds=range(args.iterations))
     results = Campaign().run(configs).report.results
     report = aggregate_results(results, keep_bands=False)
     cells = {}
@@ -1100,23 +1037,11 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "condition": _cmd_condition,
-        "campaign": _cmd_campaign,
-        "table1": _cmd_table1,
-        "store": _cmd_store,
-        "dist": _cmd_dist,
-        "report": _cmd_report,
-        "status": _cmd_status,
-        "inspect": _cmd_inspect,
-        "list": _cmd_list,
-    }
     try:
-        return handlers[args.command](args)
-    except _StoreUnusable as exc:
+        return args.handler(args)
+    except _Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.code
     except BrokenPipeError:
         # Downstream closed the pipe (| head, | less quit): exit quietly
         # like other Unix tools.  Redirect stdout to devnull so the

@@ -11,9 +11,10 @@ recovery.  Its analysis windows are fixed offsets of that timeline:
 A :class:`Timeline` scales the whole schedule by one factor so the same
 experiment can run at paper scale (``PAPER``), at one-third scale for
 interactive work and benchmarks (``QUICK``), or at one-ninth scale for
-tests (``SMOKE``).  Absolute numbers shrink with the scale but the
-relative structure -- and therefore who-wins/who-defers results -- is
-preserved.
+tests (``SMOKE``).  Absolute numbers shrink with the scale, and so can
+verdicts: the windows scale but the controllers' time constants do not,
+so a cell can flip sign between scales (EXPERIMENTS.md records the
+Stadia-Cubic 25 Mb/s 7x cell doing so between ``QUICK`` and ``PAPER``).
 """
 
 from __future__ import annotations

@@ -17,17 +17,18 @@ says how a stored run holds it:
 
 ``meta.json`` lists its fields in declaration order, followed by the
 derived summaries.  A key that is absent when a run is read takes the
-field's default.
+field's default; a value must have a JSON type its field's annotation
+declares (:data:`META_TYPES`).
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 import numpy as np
 
-__all__ = ["ARRAYS", "PROVENANCE", "RunResult"]
+__all__ = ["ARRAYS", "META_TYPES", "PROVENANCE", "RunResult"]
 
 
 def _stored(kind: str, **default: Any) -> Any:
@@ -180,3 +181,16 @@ _META = tuple(name for name in _NAMES if name not in ARRAYS)
 PROVENANCE = tuple(
     name for name, kind in _KINDS.items() if kind == "provenance"
 )
+
+
+def _json_types(hint) -> tuple[type, ...]:
+    """The types a JSON decoder yields for a value annotated ``hint``."""
+    declared = get_args(hint) or (hint,)
+    # A float field holds a JSON int when the value is integral (1, not 1.0).
+    return declared + (int,) if float in declared else declared
+
+
+_HINTS = get_type_hints(RunResult)
+#: Per ``meta.json`` field, the exact types its decoded value may have
+#: (``type(value) in META_TYPES[name]``, so a bool is no int).
+META_TYPES = {name: _json_types(_HINTS[name]) for name in _META}

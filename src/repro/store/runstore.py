@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.results import ARRAYS, RunResult
+from repro.experiments.results import ARRAYS, META_TYPES, RunResult
 from repro.store.fingerprint import (
     STORE_FORMAT_VERSION,
     canonical_json,
@@ -51,8 +51,9 @@ from repro.store.fingerprint import (
 __all__ = ["RunStore", "StoreVersionError"]
 
 #: What reading an unusable object raises: ``OSError`` for a missing or
-#: unreadable file; ``ValueError`` for bad JSON, a bad ``.npy`` header or
-#: payload, and every structural fault :func:`_read_arrays` finds in
+#: unreadable file; ``ValueError`` for bad JSON, a ``meta.json`` value of
+#: a type its field does not declare, a bad ``.npy`` header or payload,
+#: and every structural fault :func:`_read_arrays` finds in
 #: ``arrays.npz`` (torn, empty, a damaged zip header, an unsupported or
 #: encrypted member, a wrong size or CRC); ``KeyError`` for an absent
 #: field or member; and ``zlib.error`` for a corrupt deflate stream.
@@ -68,14 +69,21 @@ class RunStore:
 
     Args:
         root: store directory; created (with parents) if missing.
+        create: if False, a ``root`` that holds no ``store.json`` (the
+            marker every store writes when it is created) raises
+            ``FileNotFoundError`` and nothing is created.
 
     Opening a directory written by a different format version raises
     :class:`StoreVersionError` -- point the campaign at a fresh
     directory instead of mixing layouts.
     """
 
-    def __init__(self, root: str | Path):
+    def __init__(self, root: str | Path, create: bool = True):
         self.root = Path(root)
+        if not create and not (self.root / "store.json").is_file():
+            raise FileNotFoundError(
+                f"{self.root} is not a run store (no store.json)"
+            )
         self.objects = self.root / "objects"
         self.campaigns = self.root / "campaigns"
         self.manifest_path = self.root / "manifest.jsonl"
@@ -387,6 +395,12 @@ def _decode(meta_bytes: bytes, npz_bytes: bytes) -> RunResult:
     meta = json.loads(meta_bytes)
     if not isinstance(meta, dict):
         raise ValueError("meta.json is not a JSON object")
+    for name, types in META_TYPES.items():
+        if name in meta and type(meta[name]) not in types:
+            raise ValueError(
+                f"meta.json {name} is {type(meta[name]).__name__}, not "
+                + " or ".join(t.__name__ for t in types)
+            )
     return RunResult.from_dict({**meta, **_read_arrays(npz_bytes)})
 
 

@@ -20,7 +20,7 @@ from repro.store import RunStore
 from repro.store.fingerprint import config_fingerprint
 
 from tests.store.test_runstore import (
-    DAMAGED, damage_arrays, make_config, make_result,
+    DAMAGED, damage_object, make_config, make_result,
 )
 
 
@@ -189,7 +189,7 @@ class TestHttpTransport:
         config = make_config(seed=0)
         local = RunStore(tmp_path / "local")
         fp = local.put(config, make_result(config))
-        damage_arrays(local, fp, how)
+        damage_object(local, fp, how)
         entry = {e["fp"]: e for e in local.ls()}[fp]
         with pytest.raises(TransportError) as err:
             HttpTransport(service.url).push_object(
@@ -311,7 +311,7 @@ class TestHttpWorker:
         DistWorker(store=RunStore(tmp_path / "w1"), queue_url=service.url,
                    run_fn=fake_run, worker_id="hw1").run()
         damaged = config_fingerprint(configs[0])
-        damage_arrays(coord, damaged, how)
+        damage_object(coord, damaged, how)
 
         root = queue_root(coord, enq.campaign_id)
         for path in sorted((root / "done").glob("*.json")):

@@ -14,7 +14,7 @@ from repro.report import aggregate_results, aggregate_store, formatter_names, ge
 from repro.store import RunStore
 
 from tests.report.conftest import make_config, make_result
-from tests.store.test_runstore import DAMAGED, damage_arrays
+from tests.store.test_runstore import DAMAGED, damage_object
 
 
 class TestMoments:
@@ -213,7 +213,7 @@ class TestAggregateStore:
     @pytest.mark.parametrize("how", DAMAGED)
     def test_torn_object_is_skipped_not_fatal(self, seeded_store, how):
         entry = seeded_store.ls()[0]
-        damage_arrays(seeded_store, entry["fp"], how)
+        damage_object(seeded_store, entry["fp"], how)
         report = aggregate_store(seeded_store)
         assert report.total_runs == 5
         assert report.skipped == [entry["fp"]]

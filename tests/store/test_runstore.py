@@ -55,20 +55,25 @@ def make_result(config) -> RunResult:
     )
 
 
-#: What can happen to a stored ``arrays.npz``: a torn write leaves a
-#: prefix or nothing; a bit flip on disk or in transit leaves a deflate
-#: stream that fails to inflate, or a zip header naming a compression
-#: method or an encryption the store never writes.
+#: What can happen to a stored object.  In ``arrays.npz``: a torn write
+#: leaves a prefix or nothing; a bit flip on disk or in transit leaves a
+#: deflate stream that fails to inflate, or a zip header naming a
+#: compression method or an encryption the store never writes.  In
+#: ``meta.json``: a value of a type its field does not declare.
 DAMAGED = ("truncated", "empty", "bit-flipped", "method-flipped",
-           "flag-flipped")
+           "flag-flipped", "null-capacity", "string-count")
+
+#: The ``meta.json`` field and wrong-typed value of each meta case.
+_WRONG_TYPE = {"null-capacity": ("capacity_bps", None),
+               "string-count": ("frames_displayed", "a")}
 
 #: Where bit 0 is flipped in the ``*-flipped`` header cases: offsets into
 #: a 46-byte central directory entry.
 _CENTRAL_FIELD = {"method-flipped": 10, "flag-flipped": 8}
 
 
-def damage_arrays(store, fp, how) -> None:
-    """Damage one object's ``arrays.npz`` in one of the ``DAMAGED`` ways.
+def damage_object(store, fp, how) -> None:
+    """Damage one stored object in one of the ``DAMAGED`` ways.
 
     ``truncated`` keeps half the bytes and ``empty`` none.
     ``bit-flipped`` inverts 20 bytes in the middle of the ``game_bps``
@@ -76,8 +81,15 @@ def damage_arrays(store, fp, how) -> None:
     inflating that member fails (``zlib.error``).  ``method-flipped``
     and ``flag-flipped`` flip bit 0 of the compression method (deflate
     becomes deflate64) or of the flags (encrypted) in the central
-    directory entry of ``times.npy``.
+    directory entry of ``times.npy``.  ``null-capacity`` and
+    ``string-count`` rewrite one ``meta.json`` value (:data:`_WRONG_TYPE`).
     """
+    if how in _WRONG_TYPE:
+        name, value = _WRONG_TYPE[how]
+        path = store._object_dir(fp) / "meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    name: value}))
+        return
     path = store._object_dir(fp) / "arrays.npz"
     data = bytearray(path.read_bytes())
     if how == "truncated":
@@ -201,7 +213,7 @@ class TestVerifyGc:
     def test_torn_npz_reported(self, store, how):
         config = make_config()
         fp = store.put(config, make_result(config))
-        damage_arrays(store, fp, how)
+        damage_object(store, fp, how)
         (problem,) = store.verify()
         assert problem.startswith(f"{fp}: unreadable object")
 
@@ -209,14 +221,14 @@ class TestVerifyGc:
     def test_torn_npz_reads_as_miss(self, store, how):
         config = make_config()
         fp = store.put(config, make_result(config))
-        damage_arrays(store, fp, how)
+        damage_object(store, fp, how)
         assert store.get(config) is None
         assert store.get_fp(fp) is None
 
     def test_bit_flip_breaks_the_deflate_stream(self, store):
         config = make_config()
         fp = store.put(config, make_result(config))
-        damage_arrays(store, fp, "bit-flipped")
+        damage_object(store, fp, "bit-flipped")
         with pytest.raises(zlib.error):
             _read_arrays((store._object_dir(fp) / "arrays.npz").read_bytes())
 

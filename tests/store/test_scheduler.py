@@ -14,7 +14,7 @@ from repro.store import CampaignError, CampaignScheduler, RunStore
 from repro.store.scheduler import campaign_id
 
 from tests.store.test_runstore import (
-    DAMAGED, damage_arrays, make_config, make_result,
+    DAMAGED, damage_object, make_config, make_result,
 )
 
 
@@ -93,7 +93,7 @@ class TestCacheFirst:
         configs = _configs(2)
         for config in configs:
             store.put(config, make_result(config))
-        damage_arrays(store, store.fingerprint(configs[0]), how)
+        damage_object(store, store.fingerprint(configs[0]), how)
         executed = []
 
         def runner(config):

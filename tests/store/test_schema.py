@@ -249,7 +249,14 @@ class TestDeclaration:
     @pytest.mark.parametrize("damage", [
         lambda meta: {k: v for k, v in meta.items() if k != "frames_dropped"},
         lambda meta: list(meta.values()),
-    ], ids=["missing-key", "not-an-object"])
+        lambda meta: {**meta, "capacity_bps": None},
+        lambda meta: {**meta, "frames_displayed": "a"},
+        lambda meta: {**meta, "frames_dropped": 4.0},
+        lambda meta: {**meta, "frames_dropped": True},
+        lambda meta: {**meta, "system": 1},
+        lambda meta: {**meta, "profile": []},
+    ], ids=["missing-key", "not-an-object", "null-float", "string-int",
+            "float-int", "bool-int", "int-str", "list-dict"])
     def test_unusable_meta_is_unreadable(self, tmp_path, damage):
         config, result = _synthetic_shaped()
         store = RunStore(tmp_path / "src")

@@ -10,7 +10,7 @@ from repro.store import RunStore, StoreIndex
 from repro.store.sync import _payloads_equal, merge_stores, receive_object
 
 from tests.store.test_runstore import (
-    DAMAGED, damage_arrays, make_config, make_result,
+    DAMAGED, damage_object, make_config, make_result,
 )
 
 
@@ -95,7 +95,7 @@ class TestMergeUnion:
         config = make_config()
         fp = dst.put(config, make_result(config))
         src.put(config, make_result(config))
-        damage_arrays(dst, fp, how)
+        damage_object(dst, fp, how)
         report = merge_stores(dst, src)
         assert report.conflicts == [fp]
 
@@ -113,7 +113,7 @@ class TestMergeUnion:
         config = make_config()
         fp = dst.put(config, make_result(config))
         src.put(config, make_result(config))
-        damage_arrays(dst, fp, "bit-flipped")
+        damage_object(dst, fp, "bit-flipped")
         flipped = dst.object_bytes(fp)
         sound = src.object_bytes(fp)
         assert flipped[0] == sound[0] and flipped[1] != sound[1]
@@ -124,7 +124,7 @@ class TestMergeUnion:
     def test_damaged_source_object_is_missing(self, dst, src, how):
         config = make_config()
         fp = src.put(config, make_result(config))
-        damage_arrays(src, fp, how)
+        damage_object(src, fp, how)
         report = merge_stores(dst, src)
         assert report.missing == [fp]
         assert report.copied == 0
@@ -135,7 +135,7 @@ class TestMergeUnion:
     def test_damaged_push_is_rejected(self, dst, src, how):
         config = make_config()
         fp = src.put(config, make_result(config))
-        damage_arrays(src, fp, how)
+        damage_object(src, fp, how)
         (entry,) = src.ls()
         with pytest.raises(ValueError, match="unreadable object"):
             receive_object(dst, fp, entry, *src.object_bytes(fp))

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from tests.store.test_runstore import DAMAGED, damage_arrays, make_config, make_result
+from tests.store.test_runstore import DAMAGED, damage_object, make_config, make_result
 
 
 def test_run_command_prints_summary(capsys):
@@ -218,6 +218,32 @@ def test_store_subcommands(tmp_path, capsys):
     assert "kept 1 entries" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["missing", "not-a-store"])
+@pytest.mark.parametrize("verb", ["ls", "verify", "gc", "merge"])
+def test_store_commands_refuse_a_path_that_is_not_a_store(verb, kind,
+                                                          tmp_path, capsys):
+    # A mistyped path must not turn into a new, empty store that the
+    # command then reports on as if it were fine.  merge takes it as a
+    # source, after a sound one: neither is merged, no destination made.
+    from repro.store import RunStore
+
+    typo = tmp_path / "typo"
+    if kind == "not-a-store":
+        typo.mkdir()
+        (typo / "notes.txt").write_text("")
+    sound = RunStore(tmp_path / "sound")
+    sound.put(make_config(), make_result(make_config()))
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["store", verb, str(typo)]
+    if verb == "merge":
+        argv[2:2] = [str(tmp_path / "dest"), str(sound.root)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {typo} is not a run store (no store.json)\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_store_verify_reports_corruption(tmp_path, capsys):
     from repro.store import RunStore
 
@@ -241,7 +267,7 @@ def test_store_verify_reports_torn_object(tmp_path, capsys, how):
     store = RunStore(tmp_path / "store")
     config = make_config()
     fp = store.put(config, make_result(config))
-    damage_arrays(store, fp, how)
+    damage_object(store, fp, how)
     assert main(["store", "verify", str(store.root)]) == 1
     assert f"{fp}: unreadable object" in capsys.readouterr().out
 
