@@ -160,9 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     execution.add_argument(
         "--seed-batch", type=int, default=1, metavar="N",
-        help="group up to N same-condition seeds into one dispatch "
-             "unit executed in-process (store contents are identical "
-             "to per-run dispatch)",
+        help="group up to N runs that differ only in their competitor "
+             "into one dispatch unit that simulates their shared warm-up "
+             "once (store contents are identical to per-run dispatch)",
     )
     cell = _flags()  # one condition
     cell.add_argument("--system", choices=sorted(SYSTEMS), required=True)
@@ -312,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dist_work.add_argument(
         "queue_store", nargs="?", default=None,
         help="coordinator store directory (where the shard queues "
-             "live); omit when claiming over HTTP with --queue-url",
+             "live; must already be a store); omit when claiming over "
+             "HTTP with --queue-url",
     )
     dist_work.add_argument(
         "--queue-url", metavar="URL", default=None,
@@ -352,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "publish a store's campaign state and queue API over HTTP "
         "(the --queue-url side; routes: see repro.dist.service)",
     )
-    dist_serve.add_argument("path", help="store directory")
+    dist_serve.add_argument("path", help="store directory (must already be a store)")
     dist_serve.add_argument("--host", default="127.0.0.1")
     dist_serve.add_argument("--port", type=int, default=8765)
 
@@ -381,7 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     status_parser.add_argument(
         "path", nargs="?", default=None,
-        help="store directory (or use --url for a remote service)",
+        help="store directory, which must already be a store (or use "
+             "--url for a remote service)",
     )
     status_parser.add_argument(
         "--url", metavar="URL", default=None,
@@ -840,7 +842,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         statuses = _remote_statuses(args)
         source = args.url
     else:
-        store = _open_store(args.path)
+        store = _open_store(args.path, create=False)
         ids = [args.campaign] if args.campaign else store.campaign_ids()
         statuses = [
             status
@@ -936,7 +938,7 @@ def _cmd_dist_work(args: argparse.Namespace) -> int:
         raise _Refused("--queue-url needs --store (the worker's own "
                        "result store; there is no shared directory to "
                        "default to)", 2)
-    coord_store = _open_store(args.queue_store)
+    coord_store = _open_store(args.queue_store, create=False)
     store = _open_store(args.store) if args.store else coord_store
     try:
         worker = DistWorker(
@@ -998,7 +1000,7 @@ def _cmd_dist_work(args: argparse.Namespace) -> int:
 def _cmd_dist_serve(args: argparse.Namespace) -> int:
     from repro.dist.service import CampaignService
 
-    store = _open_store(args.path)
+    store = _open_store(args.path, create=False)
     try:
         service = CampaignService(store, host=args.host, port=args.port)
     except OSError as exc:

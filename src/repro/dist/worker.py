@@ -172,9 +172,10 @@ class DistWorker:
         worker_id: stable identity for leases/heartbeats.
         inner_workers: process-pool width per shard (the existing
             scheduler's ``workers``).
-        seed_batch: group up to this many same-condition seeds of a
-            shard into one dispatch unit, run one after the other in
-            one task (the scheduler's ``seed_batch``).
+        seed_batch: group up to this many runs of a shard that differ
+            only in their competitor into one prefix batch, which
+            simulates their shared warm-up once (the scheduler's
+            ``seed_batch``).
         retries/timeout: per-run semantics, passed to the scheduler.
         chaos: optional :class:`ChaosSpec` (or spec string) wrapped
             around ``run_fn``, same as ``campaign --chaos``.

@@ -38,7 +38,13 @@ def _stored(kind: str, **default: Any) -> Any:
 
 @dataclass
 class RunResult:
-    """Everything measured in one run."""
+    """Everything measured in one run.
+
+    ``wall_time_s`` is the host time of the run's set-up and warm-up and
+    its own continuation to the end: a member of a prefix batch
+    (:class:`~repro.experiments.runner.Warmup`) counts the shared warm-up
+    in full, and never time spent waiting for a sibling.
+    """
 
     # Identity.
     system: str

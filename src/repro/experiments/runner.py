@@ -10,6 +10,11 @@ minutes, then collect all measurements into a
 from __future__ import annotations
 
 import gc
+import os
+import pickle
+import signal
+import threading
+from math import inf, nextafter
 from time import perf_counter
 
 import numpy as np
@@ -22,7 +27,7 @@ from repro.obs.trace import Tracer
 from repro.testbed.tc import RouterConfig
 from repro.testbed.topology import IPERF_FLOW, GameStreamingTestbed
 
-__all__ = ["run_single", "RunTimeout"]
+__all__ = ["run_single", "RunTimeout", "Warmup"]
 
 
 class RunTimeout(RuntimeError):
@@ -34,6 +39,26 @@ class RunTimeout(RuntimeError):
     """
 
 
+class Warmup:
+    """The shared first third of a prefix batch: runs that differ only in
+    their competitor simulate identical traffic until ``iperf_start``.
+
+    Each of the batch's ``members`` :func:`run_single` calls gets this
+    object, in order.  The first simulates the warm-up; every call then
+    continues it in an ``os.fork()``ed child, one at a time, and the
+    last drops it.  The run's guard reads the current member's label
+    and budgets here, and a child's parent.
+    """
+
+    def __init__(self, members: int = 1):
+        self.left = members       # run_single calls still to come
+        self.testbed = None       # parked just before iperf_start
+        self.seqs = (None, None)  # the competitor's reserved tie-breaks
+        self.wall_s = 0.0         # host time the warm-up took
+        # What the guard enforces; ``parent`` is a child's parent pid.
+        self.label, self.deadline, self.max_events, self.parent = "", None, None, None
+
+
 def run_single(
     config: RunConfig,
     tracer: Tracer | None = None,
@@ -42,6 +67,7 @@ def run_single(
     store=None,
     timeout_s: float | None = None,
     max_events: int | None = None,
+    warm: Warmup | None = None,
 ) -> RunResult:
     """Execute one run and return its measurements.
 
@@ -66,97 +92,164 @@ def run_single(
         max_events: like ``timeout_s`` but bounding the number of
             dispatched simulation events (a runaway-run backstop that
             is deterministic across hosts).
+        warm: the :class:`Warmup` of the prefix batch this run belongs
+            to.  An observed run, one in a process running other threads
+            or on a platform without ``os.fork``, warms up alone.
     """
-    if store is not None:
-        observed = tracer is not None or metrics is not None or sim_profiler is not None
-        if not observed:
-            cached = store.get(config)
-            if cached is not None:
-                return cached
-    wall_start = perf_counter()
+    observed = tracer is not None or metrics is not None or sim_profiler is not None
+    if store is not None and not observed:
+        cached = store.get(config)
+        if cached is not None:
+            return cached
+    if (warm is None or observed or not hasattr(os, "fork")
+            or threading.active_count() > 1):  # forking threads is unsafe
+        warm = Warmup()
+    warm.left -= 1
+    start = perf_counter()
     timeline = config.timeline
-    testbed = GameStreamingTestbed(
-        config.system,
-        RouterConfig(rate_bps=config.capacity_bps, queue_mult=config.queue_mult),
-        seed=config.seed,
-        competing_cca=config.cca,
-        qdisc=config.qdisc,
-        tracer=tracer,
-        metrics=metrics,
-    )
-    if tracer is not None and tracer.enabled:
-        tracer.emit(
-            "run.config", 0.0,
-            system=config.system, cca=config.cca,
-            capacity_bps=config.capacity_bps, queue_mult=config.queue_mult,
-            seed=config.seed, qdisc=config.qdisc,
-            timeline_scale=timeline.scale, end=timeline.end,
+    testbed = warm.testbed
+    fresh = testbed is None
+    if fresh:
+        testbed = GameStreamingTestbed(
+            config.system,
+            RouterConfig(rate_bps=config.capacity_bps, queue_mult=config.queue_mult),
+            seed=config.seed,
+            qdisc=config.qdisc,
+            tracer=tracer,
+            metrics=metrics,
         )
-    if sim_profiler is not None:
-        testbed.sim.attach_profiler(sim_profiler)
-    if timeout_s is not None or max_events is not None:
-        _install_deadline_guard(
-            testbed.sim, config, timeline,
-            None if timeout_s is None else wall_start + timeout_s,
-            max_events,
-        )
-
+        if tracer is not None and tracer.enabled:
+            tracer.emit(
+                "run.config", 0.0,
+                system=config.system, cca=config.cca,
+                capacity_bps=config.capacity_bps, queue_mult=config.queue_mult,
+                seed=config.seed, qdisc=config.qdisc,
+                timeline_scale=timeline.scale, end=timeline.end,
+            )
+        if sim_profiler is not None:
+            testbed.sim.attach_profiler(sim_profiler)
+    else:
+        start -= warm.wall_s  # a member's wall time includes the warm-up
+    warm.label, warm.max_events = config.label, max_events
+    warm.deadline = None if timeout_s is None else start + timeout_s
     try:
-        testbed.start_game()
-        if config.competing:
-            testbed.schedule_iperf(timeline.iperf_start, timeline.iperf_stop)
-        testbed.run(until=timeline.end)
+        if fresh:
+            # Every event before iperf_start.  Every run reserves the
+            # competitor's start/stop seqs here (unused ones reorder
+            # nothing), so it fires where a constructor-built one would.
+            if timeout_s is not None or max_events is not None or warm.left:
+                _install_deadline_guard(testbed.sim, timeline, warm)
+            testbed.start_game()
+            warm.seqs = (testbed.sim.reserve_seq(), testbed.sim.reserve_seq())
+            testbed.sim.run(until=nextafter(timeline.iperf_start, -inf))
+            warm.testbed, warm.wall_s = testbed, perf_counter() - start
+        if warm.left or not fresh:
+            # The last member too: continuing after a fork ran ~20 % slower.
+            result = _forked(warm, config, start)
+        else:
+            result = _finish(testbed, warm.seqs, config, start, tracer)
     finally:
         if sim_profiler is not None:
             testbed.sim.detach_profiler()
             sim_profiler.finish()
 
+    if sim_profiler is not None:
+        result.profile = sim_profiler.summary()
+    if store is not None:
+        store.put(config, result)
+    if not warm.left:
+        warm.testbed = None
+        # What the testbed owns is one reference cycle (sim <-> events
+        # <-> bound methods), so dropping the name frees almost nothing,
+        # and Simulator.run keeps the cyclic collector off for the whole
+        # of the next run: without an explicit collection a finished
+        # run's ~21k objects overlap the next run's and peak memory is
+        # set by gen-2 timing.
+        del testbed
+        gc.collect()
+    return result
+
+
+def _finish(testbed: GameStreamingTestbed, seqs: tuple, config: RunConfig,
+            start: float, tracer) -> RunResult:
+    """Attach ``config``'s competitor to a warm testbed, run on, collect."""
+    timeline = config.timeline
+    if config.competing:
+        testbed.attach_competitor(config.cca).schedule(
+            timeline.iperf_start, timeline.iperf_stop, seqs
+        )
+    testbed.run(until=timeline.end)
     if tracer is not None and tracer.enabled:
         tracer.emit(
             "run.end", testbed.sim.now,
             events=testbed.sim.events_processed,
             frames=testbed.server.frames_sent,
         )
-
     result = _collect(config, testbed)
-    result.wall_time_s = perf_counter() - wall_start
-    if sim_profiler is not None:
-        result.profile = sim_profiler.summary()
-    if store is not None:
-        store.put(config, result)
-    # What the testbed owns is one reference cycle (sim <-> events <->
-    # bound methods), so dropping the name frees almost nothing, and
-    # Simulator.run keeps the cyclic collector off for the whole of the
-    # next run: without an explicit collection a finished run's ~21k
-    # objects overlap the next run's and peak memory is set by gen-2
-    # timing.
-    del testbed
-    gc.collect()
+    result.wall_time_s = perf_counter() - start
     return result
 
 
-def _install_deadline_guard(
-    sim, config: RunConfig, timeline, deadline: float | None,
-    max_events: int | None,
-) -> None:
-    """Schedule a recurring in-loop budget check.
+def _forked(warm: Warmup, config: RunConfig, start: float) -> RunResult:
+    """:func:`_finish` ``config`` in a forked child, leaving ``warm`` as
+    it was, and return its result or raise its exception.  The child is
+    reaped before this returns (killed first if the wait is interrupted)."""
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            warm.parent = parent
+            try:
+                outcome = (True, _finish(warm.testbed, warm.seqs, config, start, None))
+            except BaseException as exc:  # re-raised by the parent
+                outcome = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    try:
+        ok, value = pickle.loads(payload)
+    except Exception:
+        raise RuntimeError(
+            f"run {config.label}: its forked continuation died "
+            f"(exit status {os.waitstatus_to_exitcode(status)})"
+        ) from None
+    if ok:
+        return value
+    raise value
+
+
+def _install_deadline_guard(sim, timeline, warm: Warmup) -> None:
+    """Schedule a recurring in-loop check of what ``warm`` holds.
 
     The guard piggybacks on the simulation clock (a few hundred checks
     per run) because the event loop is synchronous: nothing else gets a
-    chance to notice a blown budget while a run is executing.  The
-    callback touches no simulation state, so runs with and without a
-    guard produce identical measurements.
+    chance to notice a blown budget, or a forked continuation's dead
+    parent, while a run is executing.  The callback touches no
+    simulation state, so runs with and without a guard produce identical
+    measurements.
     """
     interval = max(timeline.end / 256.0, 1e-3)
 
     def guard() -> None:
-        if deadline is not None and perf_counter() >= deadline:
+        if warm.parent is not None and os.getppid() != warm.parent:
+            os._exit(1)
+        if warm.deadline is not None and perf_counter() >= warm.deadline:
+            raise RunTimeout(f"run {warm.label} exceeded its wall-clock budget")
+        if warm.max_events is not None and sim.events_processed >= warm.max_events:
             raise RunTimeout(
-                f"run {config.label} exceeded its wall-clock budget"
-            )
-        if max_events is not None and sim.events_processed >= max_events:
-            raise RunTimeout(
-                f"run {config.label} exceeded its {max_events}-event budget"
+                f"run {warm.label} exceeded its {warm.max_events}-event budget"
             )
         sim.schedule(interval, guard)
 

@@ -162,9 +162,9 @@ class ChaosSpec:
 class ChaosRunner:
     """A picklable ``run_fn`` wrapper that injects the spec's faults.
 
-    Accepts the scheduler's optional ``attempt``/``timeout_s`` dispatch
-    keywords (the attempt number drives the schedule) and forwards to
-    the wrapped function whichever of them it understands.
+    Accepts the scheduler's optional ``attempt``/``timeout_s``/``warm``
+    dispatch keywords (the attempt number drives the schedule) and
+    forwards to the wrapped function whichever of them it understands.
     """
 
     def __init__(self, run_fn, spec: ChaosSpec):
@@ -172,7 +172,8 @@ class ChaosRunner:
         self.spec = spec
         self._inner_kwargs = _supported_kwargs(run_fn)
 
-    def __call__(self, config, attempt: int = 1, timeout_s: float | None = None):
+    def __call__(self, config, attempt: int = 1,
+                 timeout_s: float | None = None, warm=None):
         fault = self.spec.decide(config_fingerprint(config), attempt)
         if fault == "crash":
             if multiprocessing.parent_process() is not None:
@@ -192,12 +193,11 @@ class ChaosRunner:
             raise ChaosFault(
                 f"chaos: injected transient fault on attempt {attempt}"
             )
-        kwargs = {}
-        if "attempt" in self._inner_kwargs:
-            kwargs["attempt"] = attempt
-        if timeout_s is not None and "timeout_s" in self._inner_kwargs:
-            kwargs["timeout_s"] = timeout_s
-        return self.run_fn(config, **kwargs)
+        offered = {"attempt": attempt, "timeout_s": timeout_s, "warm": warm}
+        return self.run_fn(config, **{
+            name: value for name, value in offered.items()
+            if value is not None and name in self._inner_kwargs
+        })
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ChaosRunner {self.spec} around {self.run_fn!r}>"

@@ -69,7 +69,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.experiments.runner import RunTimeout, run_single
+from repro.experiments.runner import RunTimeout, Warmup, run_single
 from repro.obs.counters import CounterSet
 from repro.obs.trace import NULL_TRACER
 from repro.store.fingerprint import canonical_json, config_fingerprint, config_identity
@@ -162,7 +162,7 @@ def campaign_id(fingerprints: list[str]) -> str:
 
 #: Optional per-dispatch keyword arguments threaded into ``run_fn`` when
 #: (and only when) its signature accepts them.
-_DISPATCH_KWARGS = ("timeout_s", "attempt")
+_DISPATCH_KWARGS = ("timeout_s", "attempt", "warm")
 
 
 def _supported_kwargs(fn) -> frozenset:
@@ -216,7 +216,8 @@ def _kill_workers(pool) -> None:
 
 @dataclass(eq=False)
 class _Pending:
-    """One dispatch unit: a single run, or a seed batch of one condition.
+    """One dispatch unit: a single run, or a prefix batch of runs that
+    differ only in their competitor.
 
     Retry/timeout/free-pass accounting is per dispatch unit -- a failed
     batch is retried whole (its results reach the store only when the
@@ -240,15 +241,16 @@ class _Pending:
     def label(self) -> str:
         label = self.configs[0].label
         extra = len(self.configs) - 1
-        return label if extra == 0 else f"{label} (+{extra} seeds)"
+        return label if extra == 0 else f"{label} (+{extra} on its warm-up)"
 
 
 def _run_batch(run_fn, configs: list, kwargs: dict) -> list:
-    """Execute one seed batch in a single task (top level: picklable).
+    """Execute one prefix batch in a single task (top level: picklable).
 
-    The configs run in order, one ``run_fn`` call each.  A ``timeout_s``
-    budget covers the whole batch: each run gets what is left of it, so
-    a seed that overruns leaves its successors less time, never more.
+    The configs run in order, one ``run_fn`` call each (sharing ``warm``
+    if given).  A ``timeout_s`` budget covers the whole batch: each run
+    gets what is left of it, so a member that overruns leaves its
+    successors less time, never more.
     """
     if "timeout_s" not in kwargs:
         return [run_fn(config, **kwargs) for config in configs]
@@ -299,15 +301,15 @@ class CampaignScheduler:
             (``<store>/campaigns/<id>/heartbeat.jsonl``; see
             :mod:`repro.store.heartbeat`).  ``None`` disables the
             heartbeat; without a store there is nowhere to write one.
-        seed_batch: dispatch unit size.  With ``seed_batch > 1``,
-            cache-missing configs that share a condition (identity
-            minus seed) are grouped into batches of up to this many
-            runs and each batch executes as **one** task: ``run_fn``
-            is called once per config, in order (see
-            :func:`_run_batch`).  Store writes, fingerprints, and
-            checkpoint marks stay per run; a batch's ``timeout`` budget
-            is the per-run budget times its size, shared by its runs.
-            Retries re-dispatch the whole batch.
+        seed_batch: the largest prefix batch: cache-missing configs
+            that differ only in their competitor (identity minus cca)
+            are grouped into batches of up to this many runs, each one
+            task calling ``run_fn`` per config, in order, with one
+            shared :class:`~repro.experiments.runner.Warmup` when it
+            takes ``warm`` (see :func:`_run_batch`).  Store writes,
+            fingerprints, and checkpoint marks stay per run; a batch's
+            ``timeout`` budget is the per-run budget times its size,
+            shared by its runs.  Retries re-dispatch the whole batch.
     """
 
     def __init__(
@@ -510,10 +512,10 @@ class CampaignScheduler:
     # Execution
     # ------------------------------------------------------------------
     def _group_batches(self, pending: list[_Pending]) -> list[_Pending]:
-        """Merge single-run items that share a condition into batches.
+        """Merge single-run items that share a warm-up into prefix batches.
 
-        Grouping key is the config identity minus the seed; groups keep
-        first-occurrence order and seeds keep config order, so batched
+        Grouping key is the config identity minus the cca; groups keep
+        first-occurrence order and members keep config order, so batched
         dispatch is deterministic.  Configs without a full identity
         (test fakes) stay unbatched.
         """
@@ -523,7 +525,7 @@ class CampaignScheduler:
             config = item.configs[0]
             try:
                 identity = config_identity(config)
-                identity.pop("seed", None)
+                identity.pop("cca", None)
                 key = canonical_json(identity)
             except Exception:
                 batched.append(item)
@@ -759,6 +761,8 @@ class CampaignScheduler:
             kwargs["timeout_s"] = self.timeout * len(item.configs)
         if "attempt" in self._run_kwargs:
             kwargs["attempt"] = item.attempts
+        if "warm" in self._run_kwargs:
+            kwargs["warm"] = Warmup(len(item.configs))
         return kwargs
 
     def _settle_failure(self, item: _Pending, exc: Exception, schedule_retry):

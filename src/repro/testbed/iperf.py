@@ -9,7 +9,7 @@ scheduled start/stop times.
 from __future__ import annotations
 
 from repro.obs.trace import Tracer
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.packet import PacketPool
 from repro.tcp import TcpSender, make_cca
 from repro.tcp.receiver import TcpReceiver
@@ -49,12 +49,17 @@ class IperfFlow:
             tracer=tracer, pool=self.pool,
         )
 
-    def schedule(self, start: float, stop: float) -> None:
-        """Start the bulk download at ``start``, stop it at ``stop``."""
+    def schedule(
+        self, start: float, stop: float, seqs: tuple = (None, None)
+    ) -> None:
+        """Start the bulk download at ``start``, stop it at ``stop``, with
+        tie-break ``seqs`` reserved earlier (by default, fresh ones)."""
         if stop <= start:
             raise ValueError("stop must be after start")
-        self.sim.schedule_at(start, self.sender.start)
-        self.sim.schedule_at(stop, self.sender.stop)
+        for time, fn, seq in zip(
+            (start, stop), (self.sender.start, self.sender.stop), seqs
+        ):
+            self.sim.rearm(Event(time, 0, fn, ()), time, seq)
 
     @property
     def bytes_delivered(self) -> int:

@@ -59,8 +59,9 @@ class _ClientIngress:
     identical to the unfused chain.
 
     Routes must be registered before the first packet of a flow arrives
-    (the testbed wires everything in its constructor, so this holds by
-    construction); re-routing a flow afterwards is not supported.
+    (the constructor wires the game and the probe, and a competitor is
+    attached before its flow starts); re-routing a flow afterwards is not
+    supported.
     """
 
     __slots__ = ("sim", "capture", "stats", "demux", "_fast")
@@ -152,16 +153,6 @@ class GameStreamingTestbed:
         self.capture = PacketCapture(self.sim)
 
         one_way = router.rtt / 2.0
-        if competing_cca is None:
-            competitor_ccas: list[str] = []
-        elif isinstance(competing_cca, str):
-            competitor_ccas = [competing_cca]
-        else:
-            competitor_ccas = list(competing_cca)
-        iperf_flows = [
-            IPERF_FLOW if i == 0 else f"{IPERF_FLOW}{i + 1}"
-            for i in range(len(competitor_ccas))
-        ]
 
         # --- Downlink: shared bottleneck --------------------------------
         self.client_demux = Demux()
@@ -187,7 +178,7 @@ class GameStreamingTestbed:
         )
         # Per-flow propagation ahead of the bottleneck.
         self._down_netem: dict[str, NetemDelay] = {}
-        for flow in [self.profile.name, PING_FLOW, *iperf_flows]:
+        for flow in (self.profile.name, PING_FLOW):
             self._down_netem[flow] = NetemDelay(
                 self.sim, delay=one_way, sink=self.bottleneck
             )
@@ -220,25 +211,50 @@ class GameStreamingTestbed:
         self.server_demux.route(PING_FLOW, reflector)
         self.client_demux.route(PING_FLOW, self.prober)
 
-        # --- Competing TCP flow(s) ------------------------------------------
-        self.iperfs: list[IperfFlow] = []
-        for flow, cca in zip(iperf_flows, competitor_ccas):
-            iperf = IperfFlow(
-                self.sim,
-                flow,
-                cca=cca,
-                downlink_path=self._down_netem[flow],
-                uplink_path=self._uplink,
-                on_send=self.stats.send_hook(flow),
-                tracer=self.tracer,
-            )
-            self.server_demux.route(flow, iperf.sender)
-            self.client_demux.route(flow, iperf.receiver)
-            self.iperfs.append(iperf)
-        self.iperf: IperfFlow | None = self.iperfs[0] if self.iperfs else None
-
         if self.metrics is not None:
             self._register_metrics()
+
+        # --- Competing TCP flow(s) ------------------------------------------
+        self.iperfs: list[IperfFlow] = []
+        self.iperf: IperfFlow | None = None  # the first of them
+        if competing_cca is not None:
+            for cca in (
+                [competing_cca] if isinstance(competing_cca, str) else competing_cca
+            ):
+                self.attach_competitor(cca)
+
+    def attach_competitor(self, cca: str) -> IperfFlow:
+        """Wire one more competing TCP flow (netem stage, iperf pair, demux
+        routes, send counter, gauges) and return it, unscheduled.
+
+        Nothing here schedules, draws a seq or a random number, so a flow
+        attached mid-run, before its first packet, behaves exactly like
+        one built by the constructor.
+        """
+        n = len(self.iperfs)
+        flow = IPERF_FLOW if n == 0 else f"{IPERF_FLOW}{n + 1}"
+        path = self._down_netem[flow] = NetemDelay(
+            self.sim, delay=self.router.rtt / 2.0, sink=self.bottleneck
+        )
+        iperf = IperfFlow(
+            self.sim,
+            flow,
+            cca=cca,
+            downlink_path=path,
+            uplink_path=self._uplink,
+            on_send=self.stats.send_hook(flow),
+            tracer=self.tracer,
+        )
+        self.server_demux.route(flow, iperf.sender)
+        self.client_demux.route(flow, iperf.receiver)
+        self.iperfs.append(iperf)
+        self.iperf = self.iperf or iperf
+        if self.metrics is not None:
+            m, sender = self.metrics, iperf.sender
+            m.gauge(f"{flow}.cwnd", lambda: sender.cwnd)
+            m.gauge(f"{flow}.pipe", lambda: sender.pipe)
+            m.gauge(f"{flow}.pacing_rate", lambda: sender.pacing_rate or 0.0)
+        return iperf
 
     # ------------------------------------------------------------------
     def _sample_occupancy(self) -> None:
@@ -263,14 +279,6 @@ class GameStreamingTestbed:
         controller = self.server.controller
         m.gauge("gcc.target_bps", lambda: controller.target)
         m.gauge("server.fps", lambda: self.server.current_fps)
-        for iperf in self.iperfs:
-            sender = iperf.sender
-            m.gauge(f"{iperf.flow}.cwnd", lambda s=sender: s.cwnd)
-            m.gauge(f"{iperf.flow}.pipe", lambda s=sender: s.pipe)
-            m.gauge(
-                f"{iperf.flow}.pacing_rate",
-                lambda s=sender: s.pacing_rate or 0.0,
-            )
 
     # ------------------------------------------------------------------
     def _make_queue(self):

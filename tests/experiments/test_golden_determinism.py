@@ -48,7 +48,6 @@ _CONDITIONS = {
     ),
 }
 _DIGESTS = {"cubic": GOLDEN_DIGEST, "bbr": BBR_GOLDEN_DIGEST}
-_CONFIG = _CONDITIONS["cubic"]
 _SCALE = 1.0 / 36.0
 
 _HASHED_ARRAYS = ("times", "game_bps", "iperf_bps", "rtt_samples")
@@ -88,18 +87,22 @@ def test_digest_is_reproducible_within_process():
 
 
 def test_seed_batched_run_matches_per_run_digest():
-    # A seed batch runs its seeds one after the other in one task; each
-    # must be byte-identical to dispatching that seed separately.
-    configs = [
-        RunConfig(timeline=Timeline(scale=_SCALE), **{**_CONFIG, "seed": seed})
-        for seed in (0, 1)
-    ]
-    sink = MemorySink()
-    report = CampaignScheduler(seed_batch=2, tracer=Tracer(sink)).run(configs)
-    assert len(sink.by_event("sched.dispatch")) == 1
-    batched = sorted(report.results, key=lambda r: r.seed)
-    singles = [run_single(config) for config in configs]
-    assert [_digest(r) for r in batched] == [_digest(r) for r in singles]
-    assert _digest(batched[0]) == GOLDEN_DIGEST
-    # seeds genuinely differ (guards against a shared-RNG bug)
-    assert not np.array_equal(batched[0].game_bps, batched[1].game_bps)
+    # A prefix batch simulates its {solo, cubic, bbr} warm-up once and
+    # forks it for every member but the last; each member must be
+    # byte-identical to running that config on its own.
+    for condition, pinned in _CONDITIONS.items():
+        configs = [
+            RunConfig(timeline=Timeline(scale=_SCALE), **{**pinned, "cca": cca})
+            for cca in (None, "cubic", "bbr")
+        ]
+        sink = MemorySink()
+        report = CampaignScheduler(seed_batch=3, tracer=Tracer(sink)).run(configs)
+        assert len(sink.by_event("sched.dispatch")) == 1
+        batched = {r.cca: r for r in report.results}
+        for config in configs:
+            assert _digest(batched[config.cca]) == _digest(run_single(config))
+        assert _digest(batched[pinned["cca"]]) == _DIGESTS[condition]
+        # competitors genuinely differ (guards against a shared-state bug)
+        assert not np.array_equal(
+            batched["cubic"].game_bps, batched["bbr"].game_bps
+        )

@@ -244,6 +244,34 @@ def test_store_commands_refuse_a_path_that_is_not_a_store(verb, kind,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("kind", ["missing", "not-a-store"])
+@pytest.mark.parametrize("verb", [
+    ["status"], ["dist", "work"], ["dist", "serve"],
+], ids=["status", "dist-work", "dist-serve"])
+def test_status_and_dist_refuse_a_path_that_is_not_a_store(verb, kind,
+                                                           tmp_path, capsys,
+                                                           monkeypatch):
+    # The same rule for the commands that read a store's campaigns or
+    # serve its queue: a typo is refused, not created and served empty.
+    import repro.dist.service
+
+    def bind(*args, **kwargs):
+        raise AssertionError("dist serve bound a port for a non-store")
+
+    monkeypatch.setattr(repro.dist.service, "CampaignService", bind)
+    typo = tmp_path / "typo"
+    if kind == "not-a-store":
+        typo.mkdir()
+        (typo / "notes.txt").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    options = {"work": ["--idle-exit", "1", "--json"], "serve": ["--port", "0"]}
+    assert main([*verb, str(typo), *options.get(verb[-1], [])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {typo} is not a run store (no store.json)\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_store_verify_reports_corruption(tmp_path, capsys):
     from repro.store import RunStore
 
